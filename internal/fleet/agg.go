@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -25,7 +25,7 @@ type aggregator struct {
 	health *obs.HealthSampler // nil unless traced; every method nil-safe
 
 	// Per-host merge and health state.
-	buf         [][]Packet // sorted by TS within each host (FIFO link)
+	buf         []hostQueue // sorted by TS within each host (FIFO link)
 	watermark   []vtime.Time
 	lastSeen    []vtime.Time
 	strikes     []int
@@ -34,9 +34,10 @@ type aggregator struct {
 	helloCnt    []int
 
 	// Feed state.
-	lastTS vtime.Time
-	ledger *fnv
-	feed   []Packet
+	lastTS  vtime.Time
+	ledger  *fnv
+	scratch []byte // one ledger record, reused per emit
+	feed    []Packet
 
 	// Books.
 	aggregated    uint64
@@ -55,7 +56,7 @@ func newAggregator(cfg *Config, sched *vtime.Scheduler, steer *Steering, rec *ob
 	h := cfg.Hosts
 	return &aggregator{
 		cfg: cfg, sched: sched, steer: steer, rec: rec,
-		buf:          make([][]Packet, h),
+		buf:          make([]hostQueue, h),
 		watermark:    make([]vtime.Time, h),
 		lastSeen:     make([]vtime.Time, h),
 		strikes:      make([]int, h),
@@ -93,7 +94,7 @@ func (a *aggregator) receive(at vtime.Time, payload any) {
 				a.rec.DropN(obs.DropStalenessReject, p.Host, -1, 1, at)
 				continue
 			}
-			a.buf[m.host] = append(a.buf[m.host], p)
+			a.buf[m.host].push(p)
 		}
 		if a.quarantined[m.host] {
 			// A batch from a quarantined host proves the quarantine was a
@@ -232,29 +233,60 @@ func (a *aggregator) minWatermark() vtime.Time {
 func (a *aggregator) drain(w, at vtime.Time) {
 	for {
 		best := -1
+		var bestTS vtime.Time
 		for h := 0; h < a.cfg.Hosts; h++ {
-			if len(a.buf[h]) == 0 || a.buf[h][0].TS > w {
+			q := &a.buf[h]
+			if q.len() == 0 {
 				continue
 			}
-			if best < 0 {
-				best = h
+			ts := q.front().TS
+			if ts > w {
 				continue
 			}
-			ph, pb := a.buf[h][0], a.buf[best][0]
-			if ph.TS < pb.TS || (ph.TS == pb.TS && h < best) {
-				best = h
+			// Hosts are scanned in ascending order, so a strict < keeps
+			// the lower host on a TS tie.
+			if best < 0 || ts < bestTS {
+				best, bestTS = h, ts
 			}
 		}
 		if best < 0 {
 			return
 		}
-		a.emit(a.buf[best][0], at)
-		a.buf[best] = a.buf[best][1:]
+		a.emit(a.buf[best].front(), at)
+		a.buf[best].pop()
 	}
 }
 
+// hostQueue is one host's merge buffer: a FIFO whose storage is reused.
+// Popping advances a head index; a push that finds the array full
+// compacts the live tail to the front first when at least half of the
+// array is dead, so steady traffic never reallocates.
+type hostQueue struct {
+	pkts []Packet
+	head int
+}
+
+func (q *hostQueue) len() int { return len(q.pkts) - q.head }
+
+func (q *hostQueue) front() *Packet { return &q.pkts[q.head] }
+
+func (q *hostQueue) pop() {
+	q.head++
+	if q.head == len(q.pkts) {
+		q.pkts, q.head = q.pkts[:0], 0
+	}
+}
+
+func (q *hostQueue) push(p Packet) {
+	if len(q.pkts) == cap(q.pkts) && q.head > 0 && 2*q.head >= len(q.pkts) {
+		n := copy(q.pkts, q.pkts[q.head:])
+		q.pkts, q.head = q.pkts[:n], 0
+	}
+	q.pkts = append(q.pkts, p)
+}
+
 // emit appends one packet to the global feed and the ledger.
-func (a *aggregator) emit(p Packet, at vtime.Time) {
+func (a *aggregator) emit(p *Packet, at vtime.Time) {
 	if p.TS < a.lastTS {
 		a.lateMerges++
 	} else {
@@ -263,10 +295,27 @@ func (a *aggregator) emit(p Packet, at vtime.Time) {
 	a.aggregated++
 	a.aggPerHost[p.Host]++
 	a.rec.FleetEmit(p.Host, p.Seq, at)
-	a.ledger.writeString(fmt.Sprintf("%d|%d|%d|%d|%d;", p.TS, p.Host, p.Seq, p.FlowSeq, p.Len))
+	a.scratch = appendLedger(a.scratch[:0], p)
+	a.ledger.write(a.scratch)
 	if a.cfg.CollectFeed {
-		a.feed = append(a.feed, p)
+		a.feed = append(a.feed, *p)
 	}
+}
+
+// appendLedger appends the packet's ledger record to b:
+// "TS|Host|Seq|FlowSeq|Len;" in decimal, byte for byte what
+// fmt.Sprintf("%d|%d|%d|%d|%d;", ...) renders, without allocating.
+func appendLedger(b []byte, p *Packet) []byte {
+	b = strconv.AppendInt(b, int64(p.TS), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(p.Host), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, p.Seq, 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, p.FlowSeq, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(p.Len), 10)
+	return append(b, ';')
 }
 
 // finish runs after the executive drains: everything still buffered is
@@ -292,7 +341,7 @@ func (a *aggregator) registerHealth(reg *metrics.Registry) {
 	reg.GaugeFunc("agg_buffered", func() int64 {
 		var n int
 		for h := range a.buf {
-			n += len(a.buf[h])
+			n += a.buf[h].len()
 		}
 		return int64(n)
 	})

@@ -356,13 +356,4 @@ func (f *fnv) write(p []byte) {
 	f.h = h
 }
 
-func (f *fnv) writeString(s string) {
-	h := f.h
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	f.h = h
-}
-
 func (f *fnv) sum() string { return fmt.Sprintf("%016x", f.h) }

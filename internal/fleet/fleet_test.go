@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/faults"
@@ -296,26 +297,100 @@ func TestSteeringReSteerRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGeneratorsAreReplicas(t *testing.T) {
-	// Two hosts' generators with the same seed must emit bit-identical
-	// streams — the foundation of the shared-wire model.
-	collect := func() []frame {
-		var out []frame
-		sched := vtime.NewScheduler()
-		flows := newFlowPool(42, 16)
-		newGenerator(sched, 42, flows, 500, vtime.Microsecond, func(fr frame) {
-			out = append(out, fr)
-		})
-		sched.Run()
-		return out
+// TestSharedWireMatchesGenerator pins the shared offered stream to the
+// frames the per-host generator replicas emitted before the stream was
+// drawn once up front: same RNG, same draw order, same flow sequence
+// numbers. The first frames are spelled out; a digest covers all 500.
+func TestSharedWireMatchesGenerator(t *testing.T) {
+	flows := newFlowPool(42, 16)
+	w := drawWire(42, flows, 500, vtime.Microsecond, NewSteering(4))
+	if len(w.frames) != 500 {
+		t.Fatalf("wire holds %d frames, want 500", len(w.frames))
 	}
-	a, b := collect(), collect()
-	if len(a) != 500 || len(b) != 500 {
-		t.Fatalf("generators emitted %d and %d frames, want 500", len(a), len(b))
+	first := []wireFrame{
+		{flow: 1, flowSeq: 1, len: 172},
+		{flow: 12, flowSeq: 1, len: 595},
+		{flow: 13, flowSeq: 1, len: 985},
+		{flow: 15, flowSeq: 1, len: 1213},
+		{flow: 12, flowSeq: 2, len: 184},
+		{flow: 11, flowSeq: 1, len: 961},
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("frame %d diverged: %+v vs %+v", i, a[i], b[i])
+	for i, want := range first {
+		if w.frames[i] != want {
+			t.Fatalf("frame %d = %+v, want %+v", i, w.frames[i], want)
 		}
+	}
+	h := newFNV()
+	for _, fr := range w.frames {
+		h.write(fmt.Appendf(nil, "%v|%d|%d;", flows[fr.flow], fr.flowSeq, fr.len))
+	}
+	if got, want := h.sum(), "59b1193082f7117e"; got != want {
+		t.Fatalf("stream digest %s, want %s", got, want)
+	}
+}
+
+// TestHostByHashMatchesHost: steering by the wire's precomputed per-flow
+// hash picks the same host as hashing the tuple, in the canonical table
+// and after a re-steer and after the restore that undoes it.
+func TestHostByHashMatchesHost(t *testing.T) {
+	flows := newFlowPool(9, 512)
+	s := NewSteering(4)
+	w := drawWire(9, flows, 20_000, vtime.Microsecond, s)
+	check := func(state string) {
+		t.Helper()
+		for i, f := range flows {
+			if got, want := s.HostByHash(w.hash[i]), s.Host(f); got != want {
+				t.Fatalf("%s: flow %d steered to host %d by hash, %d by tuple", state, i, got, want)
+			}
+		}
+	}
+	check("canonical")
+	s.Apply(SteerOp{Kind: OpReSteer, Host: 2, Healthy: []int{0, 1, 3}})
+	check("re-steered")
+	s.Apply(SteerOp{Kind: OpRestore, Host: 2})
+	check("restored")
+}
+
+// TestLedgerRecordMatchesSprintf: the allocation-free ledger encoder
+// must hash exactly the bytes fmt rendered, or every fleet digest moves.
+func TestLedgerRecordMatchesSprintf(t *testing.T) {
+	for _, p := range []Packet{
+		{},
+		{TS: 1, Host: 3, Seq: 7, FlowSeq: 9, Len: 60},
+		{TS: vtime.Time(math.MaxInt64), Host: 127, Seq: math.MaxUint64, FlowSeq: math.MaxUint64, Len: 1259},
+		{TS: 98_765_432_101_234, Host: 0, Seq: math.MaxUint64, FlowSeq: 0, Len: 0},
+	} {
+		want := fmt.Sprintf("%d|%d|%d|%d|%d;", p.TS, p.Host, p.Seq, p.FlowSeq, p.Len)
+		if got := string(appendLedger([]byte("x"), &p)[1:]); got != want {
+			t.Fatalf("ledger record %q, want %q", got, want)
+		}
+	}
+}
+
+// TestRunPacketPathAllocations keeps the fleet packet path
+// allocation-free: a whole storm run — set-up included — must stay under
+// half a heap object per offered packet. A per-event method value, a
+// formatted ledger record or a re-grown buffer each cost at least one.
+func TestRunPacketPathAllocations(t *testing.T) {
+	const packets = 100_000
+	dur := vtime.Time(packets) * vtime.Microsecond
+	at := func(pct int64) vtime.Time { return dur * vtime.Time(pct) / 100 }
+	cfg := Config{
+		Hosts: 8, Packets: packets, Flows: 4096, Seed: 1, Domains: 1,
+		Faults: faults.Schedule{
+			{Kind: faults.HostCrash, NIC: 1, At: at(25)},
+			{Kind: faults.HostCrash, NIC: 4, At: at(45), Dur: at(20)},
+			{Kind: faults.AggLinkDown, NIC: 2, At: at(65), Dur: 600 * vtime.Microsecond},
+		},
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Run("storm", cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / packets
+	t.Logf("%.0f objects, %.3f per offered packet", allocs, per)
+	if per >= 0.5 {
+		t.Fatalf("fleet storm allocates %.3f objects per offered packet (%.0f total), want < 0.5", per, allocs)
 	}
 }

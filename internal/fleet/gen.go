@@ -5,31 +5,32 @@ import (
 	"repro/internal/vtime"
 )
 
-// frame is one offered wire frame: the flow tuple, the flow-local
-// sequence number the generator stamped (the ground truth the per-flow
-// order property is checked against), and the frame length.
-type frame struct {
-	flow    packet.FlowKey
+// wireFrame is one offered frame of the shared stream, stored compactly:
+// the flow-local sequence number the stream stamped (the ground truth
+// the per-flow order property is checked against), the flow's index in
+// the flow population, and the frame length.
+type wireFrame struct {
 	flowSeq uint64
-	len     int
+	flow    uint32
+	len     uint32
 }
 
-// generator replays the fleet's shared traffic: a constant-rate stream
-// over a fixed flow population with seeded per-packet flow choice and
-// sizes. Every host runs its own instance with the SAME seed — the
-// instances emit bit-identical streams, and each host captures exactly
-// the frames its steering replica assigns to it. That models one tapped
-// wire fanned out to every capture box without any cross-domain traffic
-// on the offered path, so the offered stream itself can never depend on
-// placement.
-type generator struct {
-	sched    *vtime.Scheduler
-	r        *vtime.Rand
-	flows    []packet.FlowKey
-	seq      []uint64
+// wire is the fleet's shared traffic: a constant-rate stream over a
+// fixed flow population with seeded per-packet flow choice and sizes,
+// drawn once before the run. It models one tapped wire fanned out to
+// every capture box: each host walks the same frames at the same
+// virtual times and captures exactly those its steering replica assigns
+// to it, so the offered stream can never depend on placement. Hosts
+// only read it during the run, so domains share it without
+// synchronization.
+type wire struct {
+	flows []packet.FlowKey
+	// hash is each flow's steering hash, filled in when the flow is
+	// first drawn; hosts look ownership up by it instead of re-hashing
+	// the tuple per frame.
+	hash     []uint32
+	frames   []wireFrame
 	interval vtime.Time
-	left     uint64
-	sink     func(frame)
 }
 
 // newFlowPool derives the deterministic flow population.
@@ -52,37 +53,26 @@ func newFlowPool(seed uint64, flows int) []packet.FlowKey {
 	return pool
 }
 
-// newGenerator builds one host's replica of the shared stream and
-// schedules its first arrival.
-func newGenerator(sched *vtime.Scheduler, seed uint64, flows []packet.FlowKey,
-	packets uint64, interval vtime.Time, sink func(frame)) *generator {
-	g := &generator{
-		sched:    sched,
-		r:        vtime.NewRand(vtime.SplitSeed(seed, 0x9e1)),
+// drawWire draws the whole offered stream: per frame a flow, then a
+// length, from one RNG split off the traffic seed. Only drawn flows are
+// hashed, so the cost scales with packets, not with the population.
+func drawWire(seed uint64, flows []packet.FlowKey, packets uint64,
+	interval vtime.Time, steer *Steering) *wire {
+	r := vtime.NewRand(vtime.SplitSeed(seed, 0x9e1))
+	w := &wire{
 		flows:    flows,
-		seq:      make([]uint64, len(flows)),
+		hash:     make([]uint32, len(flows)),
+		frames:   make([]wireFrame, packets),
 		interval: interval,
-		left:     packets,
-		sink:     sink,
 	}
-	if g.left > 0 {
-		sched.After(interval, g.step)
+	seq := make([]uint64, len(flows))
+	for i := range w.frames {
+		idx := r.Intn(len(flows))
+		if seq[idx] == 0 {
+			w.hash[idx] = steer.Hash(flows[idx])
+		}
+		seq[idx]++
+		w.frames[i] = wireFrame{flowSeq: seq[idx], flow: uint32(idx), len: uint32(60 + r.Intn(1200))}
 	}
-	return g
-}
-
-// step emits one frame and schedules the next.
-func (g *generator) step() {
-	idx := g.r.Intn(len(g.flows))
-	g.seq[idx]++
-	fr := frame{
-		flow:    g.flows[idx],
-		flowSeq: g.seq[idx],
-		len:     60 + g.r.Intn(1200),
-	}
-	g.left--
-	g.sink(fr)
-	if g.left > 0 {
-		g.sched.After(g.interval, g.step)
-	}
+	return w
 }

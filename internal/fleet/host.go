@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/faults"
@@ -26,6 +27,15 @@ type host struct {
 	agg    *domain.Port // the aggregator's inbound port
 	rec    *obs.Recorder
 	health *obs.HealthSampler // nil unless traced; every method nil-safe
+
+	// The shared offered stream and the index of the host's next
+	// arrival in it. The event callbacks are bound once here: a method
+	// value passed to the scheduler per event would allocate per event.
+	wire     *wire
+	next     int
+	arriveFn func()
+	flushFn  func()
+	retryFn  func()
 
 	// Capture state (lost on crash).
 	busyUntil   vtime.Time
@@ -79,7 +89,31 @@ func newHost(id int, cfg *Config, sched *vtime.Scheduler, steer *Steering, rec *
 			PerTransferOverhead: cfg.MsgOverhead,
 		}),
 	}
+	h.arriveFn = h.arrive
+	h.flushFn = h.flushTimer
+	h.retryFn = h.retry
 	return h
+}
+
+// start attaches the shared stream and schedules the host's first
+// arrival. Run calls it right after the host's fault schedule is
+// installed: that order fixes the event tie-breaks, and so the digests.
+func (h *host) start(w *wire) {
+	h.wire = w
+	if len(w.frames) > 0 {
+		h.sched.After(w.interval, h.arriveFn)
+	}
+}
+
+// arrive is one frame of the shared stream reaching this host's tap;
+// it then schedules the next frame, one interval later.
+func (h *host) arrive() {
+	fr := &h.wire.frames[h.next]
+	h.next++
+	h.offer(fr)
+	if h.next < len(h.wire.frames) {
+		h.sched.After(h.wire.interval, h.arriveFn)
+	}
 }
 
 // down reports whether the host is inside a crash window.
@@ -89,13 +123,14 @@ func (h *host) down() bool { return h.inj.HostDown(h.id) }
 // frame; only the steering owner captures it. Because all replicas are
 // identical at every virtual instant, exactly one host counts each
 // frame as offered.
-func (h *host) offer(fr frame) {
-	if h.steer.Host(fr.flow) != h.id {
+func (h *host) offer(fr *wireFrame) {
+	if h.steer.HostByHash(h.wire.hash[fr.flow]) != h.id {
 		return
 	}
+	flow := h.wire.flows[fr.flow]
 	now := h.sched.Now()
 	h.health.Observe(now)
-	h.rec.JourneySteer(h.id, fr.flow, fr.flowSeq, now)
+	h.rec.JourneySteer(h.id, flow, fr.flowSeq, now)
 	h.offered++
 	if h.down() || !h.inj.LinkUp(h.id) {
 		h.wireDropped++
@@ -119,15 +154,19 @@ func (h *host) offer(fr frame) {
 	h.capSeq++
 	h.received++
 	h.rec.JourneyCapture(h.capSeq, now)
+	if h.batch == nil {
+		// Flush closes a batch at BatchPackets, so it never re-grows.
+		h.batch = make([]Packet, 0, h.cfg.BatchPackets)
+	}
 	h.batch = append(h.batch, Packet{
-		Host: h.id, Flow: fr.flow, FlowSeq: fr.flowSeq,
-		Seq: h.capSeq, TS: now, Len: fr.len,
+		Host: h.id, Flow: flow, FlowSeq: fr.flowSeq,
+		Seq: h.capSeq, TS: now, Len: int(fr.len),
 	})
 	if len(h.batch) >= h.cfg.BatchPackets {
 		h.flush()
 	} else if !h.flushArmed {
 		h.flushArmed = true
-		h.sched.After(h.cfg.FlushInterval, h.flushTimer)
+		h.sched.After(h.cfg.FlushInterval, h.flushFn)
 	}
 	if h.cfg.AnalyticsEvery > 0 {
 		if h.sinceAnl++; h.sinceAnl >= h.cfg.AnalyticsEvery {
@@ -190,13 +229,13 @@ func (h *host) enqueue(m outMsg) {
 		}
 		if shed >= 0 {
 			h.anlShed++
-			h.pending = append(h.pending[:shed:shed], h.pending[shed+1:]...)
+			h.pending = slices.Delete(h.pending, shed, shed+1)
 			if shed == 0 {
 				h.attempt = 0
 			}
 		} else {
 			h.dropBatch(h.pending[0].pkts, h.sched.Now())
-			h.pending = h.pending[1:]
+			h.pending = slices.Delete(h.pending, 0, 1)
 			h.attempt = 0
 		}
 	}
@@ -243,10 +282,7 @@ func (h *host) pump() {
 			}
 			h.retryArmed = true
 			h.setDegraded(true)
-			h.sched.After(d, func() {
-				h.retryArmed = false
-				h.pump()
-			})
+			h.sched.After(d, h.retryFn)
 			return
 		}
 		switch m.kind {
@@ -264,10 +300,16 @@ func (h *host) pump() {
 				processed: m.proc,
 			})
 		}
-		h.pending = h.pending[1:]
+		h.pending = slices.Delete(h.pending, 0, 1)
 		h.attempt = 0
 	}
 	h.setDegraded(false)
+}
+
+// retry is the backoff timer: the next pump attempt.
+func (h *host) retry() {
+	h.retryArmed = false
+	h.pump()
 }
 
 // dropHead gives up on the queue head after retry exhaustion.
@@ -280,7 +322,7 @@ func (h *host) dropHead() {
 	} else {
 		h.anlShed++
 	}
-	h.pending = h.pending[1:]
+	h.pending = slices.Delete(h.pending, 0, 1)
 }
 
 // dropBatch charges one queued capture batch to InFlightDropped: books,
@@ -317,7 +359,7 @@ func (h *host) crash() {
 	for i := range h.batch {
 		h.rec.JourneyLost(h.batch[i].Seq, obs.DropHostLostCrash, now)
 	}
-	h.batch = nil
+	h.batch = h.batch[:0] // never sent: the storage is the host's to reuse
 	for _, m := range h.pending {
 		if m.kind == msgBatch {
 			lost += uint64(len(m.pkts))
@@ -332,7 +374,8 @@ func (h *host) crash() {
 	if lost > 0 {
 		h.rec.DropN(obs.DropHostLostCrash, h.id, -1, lost, now)
 	}
-	h.pending = nil
+	clear(h.pending)
+	h.pending = h.pending[:0]
 	h.attempt = 0
 	h.busyUntil = 0
 	h.sinceAnl = 0

@@ -61,8 +61,10 @@ func Run(name string, cfg Config) (Result, error) {
 	}
 	aggPort := sim.NewPort(sim.Domain(0), cfg.LinkLatency, agg.receive)
 
-	flows := newFlowPool(cfg.Seed, cfg.Flows)
-	interval := vtime.PerSecond(cfg.PacketsPerSec)
+	// The offered stream is drawn once, up front, and shared read-only by
+	// every host.
+	w := drawWire(cfg.Seed, newFlowPool(cfg.Seed, cfg.Flows), cfg.Packets,
+		vtime.PerSecond(cfg.PacketsPerSec), steer)
 
 	hosts := make([]*host, cfg.Hosts)
 	hostRecs := make([]*obs.Recorder, cfg.Hosts)
@@ -98,7 +100,7 @@ func Run(name string, cfg Config) (Result, error) {
 		hs.inj = inj
 		hosts[h] = hs
 
-		newGenerator(sched, cfg.Seed, flows, cfg.Packets, interval, hs.offer)
+		hs.start(w)
 	}
 	agg.tx = sim.NewTx(sim.Domain(0))
 	agg.ctl = ctl

@@ -89,8 +89,19 @@ func (s *Steering) Hosts() int { return s.hosts }
 //
 //wirecap:hotpath
 func (s *Steering) Host(f packet.FlowKey) int {
-	return s.ind.Lookup(s.hasher.Hash(f))
+	return s.HostByHash(s.hasher.Hash(f))
 }
+
+// Hash returns the flow's steering hash: Toeplitz under SteeringKey.
+// It never changes, so callers that see a flow repeatedly compute it
+// once and steer with HostByHash.
+func (s *Steering) Hash(f packet.FlowKey) uint32 { return s.hasher.Hash(f) }
+
+// HostByHash returns the capture host that owns a flow with steering
+// hash h: Host(f) == HostByHash(Hash(f)) under every table state.
+//
+//wirecap:hotpath
+func (s *Steering) HostByHash(h uint32) int { return s.ind.Lookup(h) }
 
 // Clone returns an independent replica sharing the (immutable) hash
 // tables but owning its indirection state.

@@ -43,6 +43,7 @@ package domain
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/vtime"
 )
@@ -242,6 +243,11 @@ func (s *Sim) Run() {
 	}
 	s.running = true
 	defer func() { s.running = false }()
+	var c *crew
+	if n := s.parallelism(); n > 1 {
+		c = newCrew(s, n-1)
+		defer c.close()
+	}
 	active := make([]int, 0, len(s.domains))
 	for {
 		// Route the previous window's sends (and any setup-time sends) in
@@ -278,20 +284,24 @@ func (s *Sim) Run() {
 				active = append(active, i)
 			}
 		}
-		if len(active) == 1 || s.workers == 1 {
+		if len(active) == 1 || c == nil {
 			for _, i := range active {
 				s.domains[i].runWindow(limit)
 			}
 			continue
 		}
-		// The error return is always nil here (runWindow panics on
-		// modeling bugs rather than returning errors); ForEach still
-		// propagates panics to this goroutine.
-		_ = ForEach(len(active), s.workers, func(j int) error {
-			s.domains[active[j]].runWindow(limit)
-			return nil
-		})
+		c.run(active, limit)
 	}
+}
+
+// parallelism is how many domains a window may run at once: the Workers
+// bound (GOMAXPROCS when 0), capped at the domain count.
+func (s *Sim) parallelism() int {
+	n := s.workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return min(n, len(s.domains))
 }
 
 // Now returns the furthest-advanced domain clock — the global virtual

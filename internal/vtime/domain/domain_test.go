@@ -272,3 +272,39 @@ func TestWorkerPanicPropagates(t *testing.T) {
 	}
 	sim.Run()
 }
+
+// TestParallelWindowsAllocationFree: a parallel window must cost no heap
+// objects — the workers are parked once per Run, not re-spawned per
+// window. Two busy domains exchange nothing but tick through thousands
+// of lookahead windows; the whole Run may only allocate its fixed
+// set-up.
+func TestParallelWindowsAllocationFree(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const ticks = 5000
+	run := func(workers int) uint64 {
+		sim := New(Config{Domains: 2, Workers: workers})
+		for i := 0; i < 2; i++ {
+			sched := sim.Domain(i).Scheduler()
+			// A port sets the lookahead, so every tick is its own window.
+			sim.NewPort(sim.Domain(i), vtime.Microsecond, func(vtime.Time, any) {})
+			left := ticks
+			var tick func()
+			tick = func() {
+				if left--; left > 0 {
+					sched.After(vtime.Microsecond, tick)
+				}
+			}
+			sched.After(vtime.Microsecond, tick)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sim.Run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	seq, par := run(1), run(2)
+	if par > seq+64 {
+		t.Fatalf("parallel run allocated %d objects, sequential %d: windows allocate", par, seq)
+	}
+}
