@@ -13,12 +13,17 @@
 //
 //	vtime-bench [-o BENCH_vtime.json]
 //	vtime-bench -check [-baseline BENCH_vtime.json] [-tolerance 4.0]
+//	vtime-bench -only NAME [-cpuprofile FILE] [-check]
 //
 // -check is the CI mode: instead of overwriting the committed file it
 // re-measures and compares against it read-only — allocs/op must not
 // exceed the committed value at all, and ns/op must stay within the
 // tolerance factor (wall-clock-safe: only order-of-magnitude slowdowns
 // fail at the default 4.0x). Exit status 1 on regression.
+//
+// -only NAME measures a single entry and prints it without writing the
+// output file; with -cpuprofile FILE it also writes a CPU profile of
+// that entry's measurement, for `go tool pprof`.
 package main
 
 import (
@@ -27,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -220,16 +226,23 @@ func measurePDES(name string, domains int, chaos bool) Record {
 	return Record{Name: name, Current: cur}
 }
 
-func pdesRecords() []Record {
-	records := []Record{
-		measurePDES("pdes_scaling_constant_d1", 1, false),
-		measurePDES("pdes_scaling_constant_d2", 2, false),
-		measurePDES("pdes_scaling_constant_d4", 4, false),
-		measurePDES("pdes_scaling_constant_d8", 8, false),
-		measurePDES("pdes_scaling_chaos_d1", 1, true),
-		measurePDES("pdes_scaling_chaos_d4", 4, true),
+func pdesEntries() []entry {
+	var es []entry
+	for _, p := range []struct {
+		name    string
+		domains int
+		chaos   bool
+	}{
+		{"pdes_scaling_constant_d1", 1, false},
+		{"pdes_scaling_constant_d2", 2, false},
+		{"pdes_scaling_constant_d4", 4, false},
+		{"pdes_scaling_constant_d8", 8, false},
+		{"pdes_scaling_chaos_d1", 1, true},
+		{"pdes_scaling_chaos_d4", 4, true},
+	} {
+		es = append(es, entry{p.name, func() Record { return measurePDES(p.name, p.domains, p.chaos) }})
 	}
-	return records
+	return es
 }
 
 func measure(name string, fn func(*testing.B)) Record {
@@ -248,6 +261,45 @@ func measure(name string, fn func(*testing.B)) Record {
 		rec.Speedup = base.NsPerOp / cur.NsPerOp
 	}
 	return rec
+}
+
+// entry is one named measurement; run performs it.
+type entry struct {
+	name string
+	run  func() Record
+}
+
+func microEntry(name string, fn func(*testing.B)) entry {
+	return entry{name, func() Record { return measure(name, fn) }}
+}
+
+// entries lists every measurement in the order BENCH_vtime.json holds
+// them.
+func entries() []entry {
+	es := []entry{
+		microEntry("schedule_1m_pending", benchSchedule),
+		microEntry("cancel_1m_pending", benchCancel),
+		microEntry("schedule_step_1m_pending", benchScheduleStep),
+		microEntry("run_constant_200k", benchRunConstant),
+	}
+	es = append(es, filterPathEntries()...)
+	return append(es, pdesEntries()...)
+}
+
+// selectEntries returns the entry called only, or every entry when only
+// is empty.
+func selectEntries(all []entry, only string) ([]entry, error) {
+	if only == "" {
+		return all, nil
+	}
+	names := make([]string, len(all))
+	for i, e := range all {
+		if e.name == only {
+			return []entry{e}, nil
+		}
+		names[i] = e.name
+	}
+	return nil, fmt.Errorf("unknown entry %q; valid: %s", only, strings.Join(names, ", "))
 }
 
 // benchDoc is the file layout of BENCH_vtime.json.
@@ -400,18 +452,46 @@ func main() {
 	checkMode := flag.Bool("check", false, "compare against the committed file instead of overwriting it")
 	checkPath := flag.String("baseline", "BENCH_vtime.json", "committed file -check compares against")
 	tolerance := flag.Float64("tolerance", 4.0, "allowed ns/op slowdown factor in -check mode")
+	only := flag.String("only", "", "measure only the named entry and print it instead of writing -o")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the -only entry's measurement to `file`")
 	flag.Parse()
 
-	records := []Record{
-		measure("schedule_1m_pending", benchSchedule),
-		measure("cancel_1m_pending", benchCancel),
-		measure("schedule_step_1m_pending", benchScheduleStep),
-		measure("run_constant_200k", benchRunConstant),
+	selected, err := selectEntries(entries(), *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vtime-bench:", err)
+		os.Exit(2)
 	}
-	records = append(records, filterPathRecords()...)
-	records = append(records, pdesRecords()...)
+	var prof *os.File
+	if *cpuProfile != "" {
+		if *only == "" {
+			fmt.Fprintln(os.Stderr, "vtime-bench: -cpuprofile needs -only NAME")
+			os.Exit(2)
+		}
+		if prof, err = os.Create(*cpuProfile); err == nil {
+			err = pprof.StartCPUProfile(prof)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vtime-bench:", err)
+			os.Exit(2)
+		}
+	}
+	records := make([]Record, 0, len(selected))
+	for _, e := range selected {
+		records = append(records, e.run())
+	}
+	if prof != nil {
+		pprof.StopCPUProfile()
+		if err := prof.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "vtime-bench:", err)
+			os.Exit(1)
+		}
+	}
 	if *checkMode {
 		os.Exit(check(records, *checkPath, *tolerance))
+	}
+	if *only != "" {
+		printRecords(records)
+		return
 	}
 	doc := benchDoc{
 		Note:    "generated by cmd/vtime-bench; baseline = container/heap scheduler before the allocation-free rewrite",
@@ -431,6 +511,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vtime-bench:", err)
 		os.Exit(1)
 	}
+	printRecords(records)
+}
+
+func printRecords(records []Record) {
 	for _, r := range records {
 		fmt.Printf("%-26s %12.1f ns/op  %3d allocs/op  (baseline %12.1f ns/op, %.2fx)\n",
 			r.Name, r.Current.NsPerOp, r.Current.AllocsPerOp, r.Baseline.NsPerOp, r.Speedup)

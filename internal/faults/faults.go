@@ -512,24 +512,29 @@ func (inj *Injector) AllocFails(nicID, queue int) bool {
 	return inj != nil && inj.allocf[qkey{nicID, queue}] > 0
 }
 
-// CorruptFrame possibly corrupts a frame mid-DMA: under an open
-// corruption window it flips one byte (position drawn from the
-// injector's seeded generator) with the window's probability and
-// reports whether it did. The caller marks the descriptor's error bit.
-func (inj *Injector) CorruptFrame(nicID, queue int, frame []byte) bool {
-	if inj == nil || len(frame) == 0 {
-		return false
+// CorruptMask is XORed into the one byte a DMA corruption damages.
+const CorruptMask byte = 0x5a
+
+// CorruptFrame decides whether an n-byte frame is corrupted mid-DMA:
+// under an open corruption window it does so with the window's
+// probability, drawing the damaged byte's offset from the injector's
+// seeded generator. The caller flips that byte (XOR CorruptMask) in the
+// copy DMA wrote to host memory, never in the sender's frame, and marks
+// the descriptor's error bit.
+func (inj *Injector) CorruptFrame(nicID, queue, n int) (off int, ok bool) {
+	if inj == nil || n == 0 {
+		return 0, false
 	}
-	w, ok := inj.corrupt[qkey{nicID, queue}]
-	if !ok {
-		return false
+	w, open := inj.corrupt[qkey{nicID, queue}]
+	if !open {
+		return 0, false
 	}
 	if w.sev < 1 && inj.rnd.Float64() >= w.sev {
-		return false
+		return 0, false
 	}
-	frame[inj.rnd.Intn(len(frame))] ^= 0x5a
+	off = inj.rnd.Intn(n)
 	inj.corrupted++
-	return true
+	return off, true
 }
 
 // HandlerSlowdown returns the handler cost multiplier (1 when no slow

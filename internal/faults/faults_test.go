@@ -130,13 +130,14 @@ func TestCorruptFrameDeterministicAndWindowed(t *testing.T) {
 		mustInstall(t, inj, Schedule{{At: 10, Dur: 100, Kind: DMACorrupt, NIC: 0, Queue: 0, Severity: 0.5}})
 		frame := make([]byte, 64)
 		s.At(5, func() {
-			if inj.CorruptFrame(0, 0, frame) {
+			if _, ok := inj.CorruptFrame(0, 0, len(frame)); ok {
 				t.Error("corruption outside window")
 			}
 		})
 		s.At(50, func() {
 			for i := 0; i < 100; i++ {
-				if inj.CorruptFrame(0, 0, frame) {
+				if off, ok := inj.CorruptFrame(0, 0, len(frame)); ok {
+					frame[off] ^= CorruptMask
 					hits++
 				}
 			}
@@ -161,7 +162,7 @@ func TestNilInjectorIsNoFault(t *testing.T) {
 		inj.AllocFails(0, 0) || inj.HandlerCrashed(0, 0) || !inj.Quiet() {
 		t.Fatal("nil injector must report no faults")
 	}
-	if inj.CorruptFrame(0, 0, []byte{1}) {
+	if _, ok := inj.CorruptFrame(0, 0, 1); ok {
 		t.Fatal("nil injector corrupted a frame")
 	}
 	if got := inj.HandlerSlowdown(0, 0); got != 1 {

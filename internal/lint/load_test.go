@@ -71,7 +71,7 @@ var allowBudget = map[string]int{
 	"internal/core":     14,
 	"internal/obs":      11,
 	"internal/engines":  10,
-	"internal/mem":      9,
+	"internal/mem":      10,
 	"internal/vtime":    3,
 	"cmd/ci-gate":       4,
 	"internal/walltime": 2,

@@ -92,11 +92,14 @@ type Chunk struct {
 	state ChunkState
 	pool  *Pool
 
-	// cells[i] is the i-th packet buffer; lens[i] the valid bytes in it;
-	// stamps[i] the packet's arrival (capture) timestamp.
-	cells  [][]byte
-	lens   []int
-	stamps []vtime.Time
+	// Host storage, allocated the first time AllocFree hands the chunk
+	// out and kept from then on: backing holds the M cells back to back
+	// (cell i is backing[i*CellSize:(i+1)*CellSize]); lens[i] is the valid
+	// bytes in cell i; stamps[i] the packet's arrival (capture) timestamp.
+	// A chunk that is never attached never holds host memory.
+	backing []byte
+	lens    []int
+	stamps  []vtime.Time
 
 	// count is the number of cells filled so far; base is the index of
 	// the first undelivered packet. Normally base is 0; a timeout flush
@@ -121,7 +124,7 @@ func (c *Chunk) ID() ChunkID { return c.id }
 func (c *Chunk) State() ChunkState { return c.state }
 
 // Cells returns the number of cells (M).
-func (c *Chunk) Cells() int { return len(c.cells) }
+func (c *Chunk) Cells() int { return c.pool.m }
 
 // Count returns the number of cells filled in the chunk.
 func (c *Chunk) Count() int { return c.count }
@@ -141,12 +144,17 @@ func (c *Chunk) SetBase(k int) {
 // PendingCount returns the number of undelivered packets (count - base).
 func (c *Chunk) PendingCount() int { return c.count - c.base }
 
-// Cell returns the i-th cell's full buffer.
-func (c *Chunk) Cell(i int) []byte { return c.cells[i] }
+// Cell returns the i-th cell's full buffer. Its capacity ends at the
+// cell boundary, so an append past it cannot bleed into the next cell.
+func (c *Chunk) Cell(i int) []byte {
+	off := i * CellSize
+	return c.backing[off : off+CellSize : off+CellSize]
+}
 
 // Packet returns the valid bytes and timestamp of the i-th stored packet.
 func (c *Chunk) Packet(i int) ([]byte, vtime.Time) {
-	return c.cells[i][:c.lens[i]], c.stamps[i]
+	off := i * CellSize
+	return c.backing[off : off+c.lens[i] : off+CellSize], c.stamps[i]
 }
 
 // SetPacket records that cell i now holds n valid bytes received at ts.
@@ -195,7 +203,7 @@ func (c *Chunk) GoodPending() int {
 }
 
 // Full reports whether every cell holds a packet.
-func (c *Chunk) Full() bool { return c.count == len(c.cells) }
+func (c *Chunk) Full() bool { return c.count == c.pool.m }
 
 // Retain adds a zero-copy reference (a packet handed to a TX ring).
 func (c *Chunk) Retain() { c.refs++ }
@@ -267,6 +275,12 @@ type PoolStats struct {
 // Pool is a ring buffer pool: R chunks of M cells each, allocated in the
 // kernel for one receive ring and optionally mapped into one process's
 // address space.
+//
+// The pool's simulated memory — R*M*CellSize bytes at fixed simulated
+// addresses, the figure MemoryBytes reports — exists from construction.
+// Host memory backs a chunk only from its first AllocFree on; the free
+// list is LIFO, so a run holds host storage for its peak number of
+// in-flight chunks rather than for all R.
 type Pool struct {
 	nicID, ringID int
 	m, r          int
@@ -291,8 +305,9 @@ type Pool struct {
 // goroutines (the experiment harness runs scenarios in parallel).
 var nextBase atomic.Uint64
 
-// NewPool allocates a pool of r chunks with m cells each for the given
-// receive ring.
+// NewPool creates a pool of r chunks with m cells each for the given
+// receive ring. Every chunk gets its simulated addresses here; its host
+// storage waits for the chunk's first attach.
 func NewPool(nicID, ringID, m, r int) *Pool {
 	if m <= 0 || r <= 0 {
 		panic(fmt.Sprintf("mem: invalid pool geometry M=%d R=%d", m, r))
@@ -301,17 +316,10 @@ func NewPool(nicID, ringID, m, r int) *Pool {
 	p.chunks = make([]*Chunk, r)
 	p.free = make([]*Chunk, 0, r)
 	for i := 0; i < r; i++ {
-		backing := make([]byte, m*CellSize)
 		c := &Chunk{
 			id:      ChunkID{NIC: nicID, Ring: ringID, Chunk: i},
 			pool:    p,
-			cells:   make([][]byte, m),
-			lens:    make([]int, m),
-			stamps:  make([]vtime.Time, m),
 			memBase: Addr(nextBase.Add(uint64(m*CellSize))) - Addr(m*CellSize),
-		}
-		for j := 0; j < m; j++ {
-			c.cells[j] = backing[j*CellSize : (j+1)*CellSize : (j+1)*CellSize]
 		}
 		p.chunks[i] = c
 		p.free = append(p.free, c)
@@ -376,7 +384,8 @@ func (p *Pool) SetTrace(rec *obs.Recorder, now func() vtime.Time) {
 }
 
 // AllocFree takes a free chunk and attaches it (free -> attached). The
-// caller ties its cells to a descriptor segment. A transient injected
+// caller ties its cells to a descriptor segment. A chunk's first attach
+// allocates its host storage. A transient injected
 // fault fails the call with ErrTransientAlloc before the free list is
 // consulted — the chunk is there, the allocator just cannot produce it
 // right now, so the caller should retry with backoff.
@@ -399,6 +408,9 @@ func (p *Pool) AllocFree() (*Chunk, error) {
 	}
 	c := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
+	if c.backing == nil {
+		c.allocStorage(p.m) //wirelint:allow hotpathflow host storage is allocated once, on the chunk's first attach; the LIFO free list bounds it by the peak in-flight chunks
+	}
 	c.state = StateAttached
 	c.count = 0
 	c.base = 0
@@ -407,6 +419,14 @@ func (p *Pool) AllocFree() (*Chunk, error) {
 		p.stats.LowWatermarkFree = n
 	}
 	return c, nil
+}
+
+// allocStorage gives a chunk its host storage: m zeroed cells and their
+// length and timestamp slots.
+func (c *Chunk) allocStorage(m int) {
+	c.backing = make([]byte, m*CellSize)
+	c.lens = make([]int, m)
+	c.stamps = make([]vtime.Time, m)
 }
 
 // Capture transitions an attached chunk to captured and returns the

@@ -305,8 +305,8 @@ func (n *NIC) Deliver(frame []byte, ts vtime.Time) bool {
 		n.trace.PendingDrop(obs.DropBus, n.cfg.ID, q, ts)
 		return false
 	}
-	corrupt := n.faults.CorruptFrame(n.cfg.ID, q, frame)
-	return ring.dmaWrite(frame, ts, corrupt)
+	off, corrupt := n.faults.CorruptFrame(n.cfg.ID, q, len(frame))
+	return ring.dmaWrite(frame, ts, corrupt, off)
 }
 
 // Stats snapshots all counters.

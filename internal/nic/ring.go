@@ -3,6 +3,7 @@ package nic
 import (
 	"fmt"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/vtime"
 )
@@ -160,12 +161,12 @@ func (r *RxRing) ReadyCount() int {
 
 // dmaWrite delivers one frame into the ring. It returns false (a wire
 // drop) when the next descriptor is not ready — descriptors are consumed
-// strictly in order, like hardware. corrupt marks the descriptor's
-// integrity-error bit (the frame bytes were already damaged in place by
-// the fault injector before the copy).
+// strictly in order, like hardware. corrupt damages byte off of the
+// written copy (the caller's frame is left intact) and marks the
+// descriptor's integrity-error bit.
 //
 //wirecap:hotpath
-func (r *RxRing) dmaWrite(frame []byte, ts vtime.Time, corrupt bool) bool {
+func (r *RxRing) dmaWrite(frame []byte, ts vtime.Time, corrupt bool, off int) bool {
 	d := &r.desc[r.fill]
 	if d.State != DescReady {
 		r.stats.WireDrops++
@@ -179,6 +180,9 @@ func (r *RxRing) dmaWrite(frame []byte, ts vtime.Time, corrupt bool) bool {
 		panic(fmt.Sprintf("nic: frame %d bytes exceeds %d-byte ring buffer", len(frame), len(d.Buf)))
 	}
 	copy(d.Buf, frame)
+	if corrupt {
+		d.Buf[off] ^= faults.CorruptMask
+	}
 	d.Len = len(frame)
 	d.TS = ts
 	d.State = DescUsed
