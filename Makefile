@@ -86,10 +86,11 @@ race:
 race-stress:
 	$(GO) test -race -count=5 ./internal/vtime/domain/...
 	$(GO) test -race -count=5 -run 'Fleet|Domains' ./internal/bench/...
+	$(GO) test -race -count=5 -run 'Placement|Traced' ./internal/fleet/...
 
 # Time-bounded coverage-guided fuzzing of the BPF backend-equivalence
-# property: interpreter, closure JIT, flattened bytecode, and fused
-# predicates must agree on every (expression, packet) the fuzzer finds.
+# property: interpreter, flattened bytecode, and fused predicates must
+# agree on every (expression, packet) the fuzzer finds.
 fuzz:
 	$(GO) test -fuzz=FuzzBackendsAgree -fuzztime=30s ./internal/bpf
 

@@ -24,12 +24,12 @@
 //     byte-identical across the two domain counts, and the forensics
 //     ledger must re-derive the conservation books exactly —
 //     independently of the identical check fleet.Run performs inside.
-//   - Parallel equivalence: every scenario re-runs through the parallel
-//     discrete-event executive with -domains time domains, and a fleet
-//     probe runs the multi-host mailbox workload sequentially and in
-//     parallel; every digest must equal its sequential counterpart
-//     byte for byte. Parallelism is an execution detail — baselines.json
-//     is shared with the sequential runs, never forked.
+//   - Parallel equivalence: every scenario — the fleet_chaos_* runs
+//     included — re-runs through the parallel discrete-event executive
+//     with -domains time domains, and every digest must equal its
+//     committed sequential baseline byte for byte. Parallelism is an
+//     execution detail — baselines.json is shared with the sequential
+//     runs, never forked.
 //   - Performance floor: simulated packets per wall-clock second must
 //     stay above a deliberately conservative floor (the baseline records
 //     measured/8), so only order-of-magnitude slowdowns trip it. Skip on
@@ -358,17 +358,10 @@ type ParallelResult struct {
 	// Digests maps scenario name to the digest of its run through the
 	// parallel executive; each must equal the committed baseline digest.
 	Digests map[string]string
-	// FleetSeq / FleetPar are the multi-host mailbox probe's digests at
-	// one domain and at Domains domains; they must be equal. The fleet
-	// has no baselines.json entry — equivalence between the two fresh
-	// runs is the whole check.
-	FleetSeq string
-	FleetPar string
 }
 
 // measureParallel re-runs every CI scenario through the parallel
-// executive with n time domains and runs the fleet probe sequentially
-// and in parallel.
+// executive with n time domains.
 func measureParallel(n int) (ParallelResult, error) {
 	res := ParallelResult{Domains: n, Digests: make(map[string]string)}
 	for _, sc := range bench.CIScenarios() {
@@ -377,24 +370,6 @@ func measureParallel(n int) (ParallelResult, error) {
 			return ParallelResult{}, fmt.Errorf("scenario %s at %d domains: %w", sc.Name, n, err)
 		}
 		res.Digests[sc.Name] = rep.Digest()
-	}
-	fleet := func(domains int) (string, error) {
-		out, err := bench.RunFleet("ci_fleet", bench.FleetRun{
-			Spec: bench.WireCAPA(64, 32, 60), Hosts: 2 * n, Queues: 2, X: 300,
-			Packets: 3_000, PacketsPerSec: 60_000, Seed: 41,
-			MilestoneEvery: 500, Domains: domains,
-		})
-		if err != nil {
-			return "", fmt.Errorf("fleet probe at %d domains: %w", domains, err)
-		}
-		return out.Report.Digest(), nil
-	}
-	var err error
-	if res.FleetSeq, err = fleet(1); err != nil {
-		return ParallelResult{}, err
-	}
-	if res.FleetPar, err = fleet(n); err != nil {
-		return ParallelResult{}, err
 	}
 	return res, nil
 }
@@ -571,12 +546,6 @@ func compare(base Baselines, reports []bench.RunReport, traced TracedResult, par
 					"domains=%d %s: digest %s != baseline %s (the parallel executive changed the run)",
 					par.Domains, sb.Name, got, sb.Digest))
 			}
-		}
-		checks = append(checks, fmt.Sprintf("domains=%d fleet equivalence", par.Domains))
-		if par.FleetSeq != par.FleetPar {
-			failures = append(failures, fmt.Sprintf(
-				"domains=%d fleet: parallel digest %s != sequential %s (placement leaked into the mailbox fabric)",
-				par.Domains, par.FleetPar, par.FleetSeq))
 		}
 	}
 

@@ -17,9 +17,9 @@ import (
 // ---- filter_path: BPF backend comparison over the matcher corpus ----
 //
 // The same expression corpus runs over the same border-trace frames on
-// every backend — interpreter, closure JIT, flattened bytecode, and the
-// flattened per-chunk batch entry point. Each entry's digest covers the
-// full (program x frame) accept matrix, so -check pins that all four
+// every backend — interpreter, flattened bytecode, and the flattened
+// per-chunk batch entry point. Each entry's digest covers the full
+// (program x frame) accept matrix, so -check pins that all three
 // backends agree bit for bit (the differential property, re-proven on
 // every CI run) before comparing speed. The headline gate: flattened
 // must hold >= 3x over the interpreter on this corpus, in the median of
@@ -170,7 +170,6 @@ func measureFilterChunk(frames [][]byte, flats []*bpf.FlatProgram) Record {
 type filterCorpus struct {
 	frames [][]byte
 	vms    []*bpf.VM
-	jits   []*bpf.JITProgram
 	flats  []*bpf.FlatProgram
 }
 
@@ -181,20 +180,14 @@ var corpus = sync.OnceValue(func() *filterCorpus {
 	c := &filterCorpus{
 		frames: filterFrames(),
 		vms:    make([]*bpf.VM, n),
-		jits:   make([]*bpf.JITProgram, n),
 		flats:  make([]*bpf.FlatProgram, n),
 	}
 	for i, expr := range filterExprs {
-		prog := bpf.MustCompile(expr, 65535)
-		vm, err := bpf.NewVM(prog)
+		vm, err := bpf.NewVM(bpf.MustCompile(expr, 65535))
 		if err != nil {
 			panic(err)
 		}
-		jit, err := bpf.JITCompile(prog)
-		if err != nil {
-			panic(err)
-		}
-		c.vms[i], c.jits[i] = vm, jit
+		c.vms[i] = vm
 		c.flats[i] = bpf.MustCompileFlat(expr, 65535)
 	}
 	return c
@@ -204,14 +197,6 @@ func (c *filterCorpus) sweepInterp() {
 	for _, f := range c.frames {
 		for _, vm := range c.vms {
 			vm.Run(f)
-		}
-	}
-}
-
-func (c *filterCorpus) sweepJIT() {
-	for _, f := range c.frames {
-		for _, jit := range c.jits {
-			jit.Run(f)
 		}
 	}
 }
@@ -232,12 +217,6 @@ func filterPathEntries() []entry {
 			return measureFilter("filter_path_interp", c.frames, len(c.vms), func(p int, f []byte) bool {
 				return c.vms[p].Run(f) != 0
 			}, c.sweepInterp)
-		}},
-		{"filter_path_jit", func() Record {
-			c := corpus()
-			return measureFilter("filter_path_jit", c.frames, len(c.jits), func(p int, f []byte) bool {
-				return c.jits[p].Run(f) != 0
-			}, c.sweepJIT)
 		}},
 		{"filter_path_flat", func() Record {
 			c := corpus()
@@ -278,7 +257,7 @@ func filterSpeedup(c *filterCorpus) (median float64, ratios []float64) {
 }
 
 // checkFilterPath enforces the backend-equivalence and speedup gates on
-// the fresh filter_path measurements themselves: all four digests must
+// the fresh filter_path measurements themselves: all three digests must
 // be identical (any divergence is a correctness bug, not noise), and
 // flattened must hold the committed speedup floor over the interpreter
 // in the median of interleaved pairs.
@@ -292,7 +271,7 @@ func checkFilterPath(records []Record) int {
 		return 0
 	}
 	status := 0
-	for _, name := range []string{"filter_path_jit", "filter_path_flat", "filter_path_chunk"} {
+	for _, name := range []string{"filter_path_flat", "filter_path_chunk"} {
 		e, ok := byName[name]
 		if !ok {
 			continue

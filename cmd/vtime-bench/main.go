@@ -2,10 +2,10 @@
 // writes the results to BENCH_vtime.json: scheduler microbenchmarks
 // (schedule, cancel, and the self-rescheduling schedule+step cycle, each
 // against one million pending events), an end-to-end wall-clock run of
-// bench.RunConstant, and the pdes_scaling family: the eight-host fleet
-// workload under the parallel discrete-event executive at 1/2/4/8 time
-// domains (plus a chaos variant), whose entries carry the run digest and
-// the measuring machine's GOMAXPROCS. Scheduler entries carry the
+// bench.RunConstant, and the pdes_scaling family: an eight-host fleet.Run
+// under the parallel discrete-event executive at 1/2/4/8 time domains
+// (plus a chaos variant), whose entries carry the run digest and the
+// measuring machine's GOMAXPROCS. Scheduler entries carry the
 // corresponding measurement taken at the container/heap-based scheduler
 // this engine replaced, so the file documents the before/after directly.
 //
@@ -17,9 +17,11 @@
 //
 // -check is the CI mode: instead of overwriting the committed file it
 // re-measures and compares against it read-only — allocs/op must not
-// exceed the committed value at all, and ns/op must stay within the
-// tolerance factor (wall-clock-safe: only order-of-magnitude slowdowns
-// fail at the default 4.0x). Exit status 1 on regression.
+// exceed the committed value beyond a 1% jitter allowance, ns/op must
+// stay within the tolerance factor (wall-clock-safe: only
+// order-of-magnitude slowdowns fail at the default 4.0x), and without
+// -only every committed entry must still be measured. Exit status 1 on
+// regression.
 //
 // -only NAME measures a single entry and prints it without writing the
 // output file; with -cpuprofile FILE it also writes a CPU profile of
@@ -38,6 +40,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/vtime"
 )
 
@@ -157,34 +160,38 @@ func benchRunConstant(b *testing.B) {
 	}
 }
 
-// ---- pdes_scaling: the parallel executive over the fleet workload ----
+// ---- pdes_scaling: the parallel executive over fleet.Run ----
 //
-// Eight capture hosts, each a RunConstant-class stack (constant-rate
-// traffic into a WireCAP engine with a loaded pkt_handler), reporting
-// milestones to a collector over the cross-domain mailbox fabric; the
-// chaos variant adds a per-host queue hang plus a consumer stall so the
-// recovery machinery and its cross-domain action reports are on the
-// measured path. The same fleet runs at every domain count — only
-// placement changes — so the digests must match across entries, which
-// -check enforces alongside the committed values.
+// Eight capture hosts tap one shared wire and feed the aggregation
+// plane over the cross-domain mailbox fabric; the chaos variant adds a
+// host kill, a crash-restart and an aggregation-link flap so failover,
+// re-steering and readmission are on the measured path. The same fleet
+// runs at every domain count — only placement changes — so the digests
+// must match across entries, which -check enforces alongside the
+// committed values.
 
-const fleetHosts = 8
+const fleetPackets = 160_000
 
 // pdesTolerance is the committed -check window for the pdes_scaling
 // family (see Entry.Tolerance).
 const pdesTolerance = 8.0
 
-func fleetRun(domains int, chaos bool) bench.FleetRun {
-	cfg := bench.FleetRun{
-		Spec: bench.WireCAPA(64, 32, 60), Hosts: fleetHosts, Queues: 2, X: 300,
-		Packets: 20_000, PacketsPerSec: 60_000, Seed: 41,
-		MilestoneEvery: 1000, Domains: domains,
+// fleetRun is the fleet configuration of one pdes_scaling entry. The
+// chaos storm sits at fixed fractions of the run (at the default 1 Mp/s
+// offered rate): a permanent host kill at 25%, a crash at 45% that
+// restarts 20% of the run later, and a link flap at 65%.
+func fleetRun(domains int, chaos bool) fleet.Config {
+	cfg := fleet.Config{
+		Hosts: 8, Packets: fleetPackets, Flows: 4096, Seed: 41,
+		Domains: domains, Workers: domains,
 	}
 	if chaos {
-		cfg.FaultSeed = 97
+		dur := vtime.Time(fleetPackets) * vtime.Microsecond
+		at := func(pct int64) vtime.Time { return dur * vtime.Time(pct) / 100 }
 		cfg.Faults = faults.Schedule{
-			{At: 5 * vtime.Millisecond, Kind: faults.QueueHang, Queue: 1},
-			{At: 8 * vtime.Millisecond, Dur: 20 * vtime.Millisecond, Kind: faults.HandlerStall, Queue: 0},
+			{Kind: faults.HostCrash, NIC: 1, At: at(25)},
+			{Kind: faults.HostCrash, NIC: 4, At: at(45), Dur: at(20)},
+			{Kind: faults.AggLinkDown, NIC: 2, At: at(65), Dur: 600 * vtime.Microsecond},
 		}
 	}
 	return cfg
@@ -205,7 +212,7 @@ func measurePDES(name string, domains int, chaos bool) Record {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := bench.RunFleet(scenario, fleetRun(domains, chaos))
+			res, err := fleet.Run(scenario, fleetRun(domains, chaos))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -222,7 +229,7 @@ func measurePDES(name string, domains int, chaos bool) Record {
 		// the file; their exact regression signal is the digest.
 		Tolerance: pdesTolerance,
 	}
-	cur.SimPktsPerSec = float64(fleetHosts) * 20_000 / (cur.NsPerOp / 1e9)
+	cur.SimPktsPerSec = fleetPackets / (cur.NsPerOp / 1e9)
 	return Record{Name: name, Current: cur}
 }
 
@@ -309,9 +316,13 @@ type benchDoc struct {
 }
 
 // check compares fresh measurements against the committed file without
-// touching it. Allocations are deterministic, so any increase fails;
-// ns/op is wall-clock and noisy, so it only fails beyond tolerance×.
-func check(records []Record, committedPath string, tolerance float64) int {
+// touching it. Allocations are deterministic up to runtime jitter, so
+// any increase beyond allocBudget fails; ns/op is wall-clock and noisy,
+// so it only fails beyond tolerance×. When all is set the records are
+// the full run, and a committed entry none of them measured — a retired
+// benchmark whose committed numbers would otherwise linger unchecked —
+// fails too.
+func check(records []Record, committedPath string, tolerance float64, all bool) int {
 	data, err := os.ReadFile(committedPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vtime-bench:", err)
@@ -327,6 +338,18 @@ func check(records []Record, committedPath string, tolerance float64) int {
 		committed[r.Name] = r.Current
 	}
 	status := 0
+	if all {
+		measured := make(map[string]bool, len(records))
+		for _, r := range records {
+			measured[r.Name] = true
+		}
+		for _, r := range doc.Results {
+			if !measured[r.Name] {
+				fmt.Printf("FAIL %-26s in %s but no longer measured (regenerate with -o)\n", r.Name, committedPath)
+				status = 1
+			}
+		}
+	}
 	for _, r := range records {
 		want, ok := committed[r.Name]
 		if !ok {
@@ -334,12 +357,8 @@ func check(records []Record, committedPath string, tolerance float64) int {
 			status = 1
 			continue
 		}
-		// pdes_scaling entries run real goroutine fan-out, so their
-		// allocation counts wobble with scheduling; their exact check is
-		// the digest, which covers every observable of the run.
-		pdes := strings.HasPrefix(r.Name, "pdes_")
 		switch {
-		case !pdes && r.Current.AllocsPerOp > allocBudget(want.AllocsPerOp):
+		case r.Current.AllocsPerOp > allocBudget(want.AllocsPerOp):
 			fmt.Printf("FAIL %-26s %d allocs/op, committed %d\n",
 				r.Name, r.Current.AllocsPerOp, want.AllocsPerOp)
 			status = 1
@@ -487,7 +506,7 @@ func main() {
 		}
 	}
 	if *checkMode {
-		os.Exit(check(records, *checkPath, *tolerance))
+		os.Exit(check(records, *checkPath, *tolerance, *only == ""))
 	}
 	if *only != "" {
 		printRecords(records)

@@ -48,12 +48,6 @@ type PktHandler struct {
 	DelaySum  vtime.Time
 	MaxDelay  vtime.Time
 	DelayHist stats.Histogram
-
-	// OnProcessed, when non-nil, observes the running Processed total
-	// after every handled packet. Fleet runs use it to emit periodic
-	// progress milestones onto the cross-domain aggregation bus; it must
-	// be deterministic and cheap (it sits on the per-packet path).
-	OnProcessed func(total uint64)
 }
 
 // NewPktHandler builds the handler with the paper's filter
@@ -103,9 +97,6 @@ func (h *PktHandler) Handle(q int, data []byte, ts vtime.Time, done func()) {
 	}
 	if h.flt.Match(data) {
 		h.Matched++
-	}
-	if h.OnProcessed != nil {
-		h.OnProcessed(h.Processed)
 	}
 	if h.ForwardTx != nil {
 		tx := h.ForwardTx(q)

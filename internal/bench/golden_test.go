@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -89,6 +90,46 @@ func TestGoldenDomainsEquivalence(t *testing.T) {
 		if got := border(d); got != bref {
 			t.Errorf("border run diverged at domains=%d:\n  %s\n  %s", d, got, bref)
 		}
+	}
+}
+
+// TestScenarioDomainsEquivalence replays every CI scenario — the five
+// steady-state ones and the three chaos storms — through the parallel
+// executive and requires the digest to match the plain sequential run
+// exactly. A single-host scenario occupies one domain, so this pins
+// that routing a run through Sim is observationally invisible, the
+// contract cmd/ci-gate's -domains check enforces in CI.
+func TestScenarioDomainsEquivalence(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	for i, sc := range CIScenarios() {
+		sc := sc
+		domains := []int{2, 3, 5}[i%3]
+		t.Run(sc.Name, func(t *testing.T) {
+			ref, err := sc.Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sc.RunDomains(domains)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refJSON, err := ref.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, err := got.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(refJSON, gotJSON) {
+				t.Errorf("domains=%d report diverged from sequential run", domains)
+			}
+			if ref.Digest() != got.Digest() {
+				t.Errorf("domains=%d digest %s != sequential %s", domains, got.Digest(), ref.Digest())
+			}
+		})
 	}
 }
 

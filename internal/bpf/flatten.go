@@ -1,7 +1,7 @@
 package bpf
 
-// Flattened-bytecode backend: the third filter backend next to the VM
-// interpreter (bpf.go) and the closure JIT (jit.go). Flatten rewrites a
+// Flattened-bytecode backend: the filter backend next to the VM
+// interpreter (bpf.go). Flatten rewrites a
 // validated classic-BPF program into a branch-threaded form —
 // every jump carries its absolute target, so the dispatch loop never
 // does pc-relative arithmetic — and hoists packet bounds checks to

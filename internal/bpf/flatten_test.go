@@ -55,20 +55,15 @@ func wiregenCorpus(tb testing.TB, n int) [][]byte {
 	return frames
 }
 
-// backendsFor compiles expr for all backends: interpreter, closure JIT,
-// flattened bytecode, and the expression-level flattened path (which
-// may fuse).
-func backendsFor(tb testing.TB, expr string, snaplen uint32) (*VM, *JITProgram, *FlatProgram, *FlatProgram) {
+// backendsFor compiles expr for all backends: interpreter, flattened
+// bytecode, and the expression-level flattened path (which may fuse).
+func backendsFor(tb testing.TB, expr string, snaplen uint32) (*VM, *FlatProgram, *FlatProgram) {
 	tb.Helper()
 	prog, err := Compile(expr, snaplen)
 	if err != nil {
 		tb.Fatalf("Compile(%q): %v", expr, err)
 	}
 	vm, err := NewVM(prog)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	jit, err := JITCompile(prog)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -80,7 +75,7 @@ func backendsFor(tb testing.TB, expr string, snaplen uint32) (*VM, *JITProgram, 
 	if err != nil {
 		tb.Fatalf("CompileFlat(%q): %v", expr, err)
 	}
-	return vm, jit, flat, fast
+	return vm, flat, fast
 }
 
 // TestFlattenDifferentialExprs cross-checks all backends over random
@@ -94,10 +89,6 @@ func TestFlattenDifferentialExprs(t *testing.T) {
 		prog, err := CompileExpr(e, 65535)
 		if err != nil {
 			t.Fatalf("CompileExpr(%s): %v", e, err)
-		}
-		jit, err := JITCompile(prog)
-		if err != nil {
-			t.Fatal(err)
 		}
 		flat, err := Flatten(prog)
 		if err != nil {
@@ -114,9 +105,6 @@ func TestFlattenDifferentialExprs(t *testing.T) {
 			}
 			frame := b.Build(buf, randFlow(r), make([]byte, r.Intn(300)))
 			want := vm.Run(frame)
-			if got := jit.Run(frame); got != want {
-				t.Fatalf("JIT diverges on %q: %d != %d", e, got, want)
-			}
 			if got := flat.Run(frame); got != want {
 				t.Fatalf("flattened diverges on %q: %d != %d\n%s", e, got, want, Disassemble(prog))
 			}
@@ -145,12 +133,9 @@ func TestFlattenMatcherCorpus(t *testing.T) {
 		make([]byte, 1),
 	)
 	for _, expr := range matcherCorpus {
-		vm, jit, flat, fast := backendsFor(t, expr, 65535)
+		vm, flat, fast := backendsFor(t, expr, 65535)
 		for i, frame := range frames {
 			want := vm.Run(frame)
-			if got := jit.Run(frame); got != want {
-				t.Fatalf("%q frame %d: JIT %d != VM %d", expr, i, got, want)
-			}
 			if got := flat.Run(frame); got != want {
 				t.Fatalf("%q frame %d: flattened %d != VM %d", expr, i, got, want)
 			}

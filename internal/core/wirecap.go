@@ -115,20 +115,6 @@ type Config struct {
 	// integrity validation are off — the ablation configuration that
 	// shows what the recovery machinery buys.
 	DisableRecovery bool
-	// Domain is the time-domain affinity label of this engine in a
-	// multi-domain (PDES) simulation: the index of the domain whose
-	// scheduler the engine was built against. Purely informational —
-	// fleet runs use it to tag merged observability output — and 0 in
-	// every single-domain run.
-	Domain int
-	// OnAction, when non-nil, observes every recovery action the engine
-	// takes (quarantine, re_steer, failover, reclaim_backlog,
-	// alloc_retry) at the virtual time it happens. Fleet runs bind this
-	// to a cross-domain mailbox so a host's recovery becomes visible on
-	// the fleet aggregation plane; the hook must be deterministic. It
-	// fires in addition to (never instead of) flight-recorder Action
-	// records.
-	OnAction func(kind string, queue int, at vtime.Time)
 	// ChunkFilter, when non-nil, is the batch filter the consumer path
 	// applies once per handed chunk (bpf.FlatProgram.FilterChunk) as the
 	// chunk is picked up for draining: rejected packets are never

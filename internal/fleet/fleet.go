@@ -5,8 +5,7 @@
 // exactly one host, and a loss-accounted aggregation plane merges the
 // per-host capture streams into one globally ordered feed.
 //
-// The package is the promotion of the PR 6 bench fleet harness into a
-// real subsystem, built around three invariants:
+// The package is built around three invariants:
 //
 //   - Conservation. Every packet a host records into an aggregation
 //     batch is accounted for exactly once at drain:

@@ -139,18 +139,44 @@ func TestPlacementEquivalence(t *testing.T) {
 		t.Fatalf("Run(domains=1): %v", err)
 	}
 	want := base.Report.Digest()
-	for _, d := range []int{2, 4} {
+	// Workers both below and above Domains, and a domain count (3) that
+	// does not divide the four hosts evenly.
+	for _, p := range []struct{ domains, workers int }{
+		{1, 4}, {2, 1}, {2, 2}, {3, 3}, {4, 4},
+	} {
 		c := cfg
-		c.Domains = d
-		c.Workers = d
+		c.Domains = p.domains
+		c.Workers = p.workers
 		res, err := Run("placement", c)
 		if err != nil {
-			t.Fatalf("Run(domains=%d): %v", d, err)
+			t.Fatalf("Run(domains=%d workers=%d): %v", p.domains, p.workers, err)
 		}
 		if got := res.Report.Digest(); got != want {
-			t.Errorf("domains=%d digest %s != domains=1 digest %s\nbase: %+v\ngot:  %+v",
-				d, got, want, base.Report, res.Report)
+			t.Errorf("domains=%d workers=%d digest %s != domains=1 digest %s\nbase: %+v\ngot:  %+v",
+				p.domains, p.workers, got, want, base.Report, res.Report)
 		}
+	}
+}
+
+// TestDigestSensitivity proves the report digest covers the run:
+// changing the offered rate or the host count must change it.
+func TestDigestSensitivity(t *testing.T) {
+	run := func(mutate func(*Config)) string {
+		cfg := testConfig()
+		cfg.CollectFeed = false
+		mutate(&cfg)
+		res, err := Run("sensitivity", cfg)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return res.Report.Digest()
+	}
+	base := run(func(*Config) {})
+	if run(func(c *Config) { c.PacketsPerSec = 750_000 }) == base {
+		t.Error("fleet digest unchanged across offered rates")
+	}
+	if run(func(c *Config) { c.Hosts = 5 }) == base {
+		t.Error("fleet digest unchanged across host counts")
 	}
 }
 

@@ -63,11 +63,6 @@ type Config struct {
 	// hook on a nil recorder is a zero-allocation no-op). Like Faults,
 	// it rides the NIC so engines pick it up without signature changes.
 	Trace *obs.Recorder
-	// Domain labels the parallel-simulation time domain this NIC (and
-	// everything built on it) executes in. Purely informational: it tags
-	// merged observability output in fleet runs so records from
-	// different hosts stay attributable. Single-domain runs leave it 0.
-	Domain int
 }
 
 // LineRate10G is 10 Gb/s in bits per second.
@@ -225,10 +220,6 @@ func (n *NIC) Trace() *obs.Recorder { return n.trace }
 
 // ID returns the NIC's identifier.
 func (n *NIC) ID() int { return n.cfg.ID }
-
-// Domain returns the parallel-simulation time domain this NIC was placed
-// in (0 for single-domain runs).
-func (n *NIC) Domain() int { return n.cfg.Domain }
 
 // RxQueues returns the number of receive queues.
 func (n *NIC) RxQueues() int { return len(n.rx) }
