@@ -89,8 +89,9 @@ race-stress:
 	$(GO) test -race -count=5 -run 'Placement|Traced' ./internal/fleet/...
 
 # Time-bounded coverage-guided fuzzing of the BPF backend-equivalence
-# property: interpreter, flattened bytecode, and fused predicates must
-# agree on every (expression, packet) the fuzzer finds.
+# property: the interpreter and compiled filters (fused predicates, or
+# their interpreter fallback) must agree on every (expression, packet)
+# the fuzzer finds.
 fuzz:
 	$(GO) test -fuzz=FuzzBackendsAgree -fuzztime=30s ./internal/bpf
 

@@ -98,7 +98,7 @@ func measureAllocs() map[string]float64 {
 
 	// The batch filter entry point over a border-trace chunk: the
 	// accept bitmap is caller-owned, so the call itself allocates
-	// nothing regardless of the fused/bytecode backend split.
+	// nothing whether the filter runs fused or on the VM.
 	src := trace.NewBorder(trace.BorderConfig{Queues: 1, Duration: vtime.Second, Seed: 9})
 	frames := make([][]byte, 0, 256)
 	for len(frames) < 256 {

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -16,19 +15,22 @@ import (
 
 // ---- filter_path: BPF backend comparison over the matcher corpus ----
 //
-// The same expression corpus runs over the same border-trace frames on
-// every backend — interpreter, flattened bytecode, and the flattened
-// per-chunk batch entry point. Each entry's digest covers the full
-// (program x frame) accept matrix, so -check pins that all three
-// backends agree bit for bit (the differential property, re-proven on
-// every CI run) before comparing speed. The headline gate: flattened
-// must hold >= 3x over the interpreter on this corpus, in the median of
-// five interleaved interpreter/flattened pairs.
+// The same expression corpus runs over the same border-trace frames
+// three ways: on the interpreter (filter_path_interp), as compiled
+// filters through Run (filter_path_flat: fused predicates, with the VM
+// as the fallback for shapes the fuser does not cover), and as the same
+// compiled filters through the per-chunk batch entry point
+// (filter_path_chunk). Each entry's digest covers the full
+// (program x frame) accept matrix, so -check pins that all three agree
+// bit for bit (the differential property, re-proven on every CI run)
+// before comparing speed. The headline gate: compiled filters must hold
+// >= 3x over the interpreter on this corpus, in the median of five
+// interleaved interpreter/compiled pairs.
 
 // filterExprs is the matcher corpus: the expression shapes real
 // deployments filter by (protocols, nets, ports, and the compound
 // web/DNS/subnet filters that dominate in practice), each exercising a
-// different fusion or flattening path.
+// different fusion path.
 var filterExprs = []string{
 	"ip",
 	"udp",
@@ -52,9 +54,9 @@ const (
 	// sub-microsecond match loops wobble more than the 4x default
 	// assumes, and the exact regression signal is the digest anyway.
 	filterTolerance = 6.0
-	// filterSpeedupFloor is the flattened-over-interpreter gate.
+	// filterSpeedupFloor is the compiled-over-interpreter gate.
 	filterSpeedupFloor = 3.0
-	// filterSpeedupPairs is how many interleaved interpreter/flattened
+	// filterSpeedupPairs is how many interleaved interpreter/compiled
 	// measurements the gate takes its median over.
 	filterSpeedupPairs = 5
 )
@@ -115,7 +117,6 @@ func measureFilter(name string, frames [][]byte, progs int, match func(prog int,
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		Digest:      acceptDigest(bits),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Tolerance:   filterTolerance,
 	}
 	// matches per second of simulated filtering work
@@ -158,7 +159,6 @@ func measureFilterChunk(frames [][]byte, flats []*bpf.FlatProgram) Record {
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		Digest:      acceptDigest(bits),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Tolerance:   filterTolerance,
 	}
 	cur.SimPktsPerSec = float64(len(flats)*len(frames)) / (cur.NsPerOp / 1e9)
@@ -241,8 +241,8 @@ func sweepNsPerOp(sweep func()) float64 {
 	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
-// filterSpeedup measures the flattened-over-interpreter ratio as the
-// median of filterSpeedupPairs interleaved interpreter/flattened pairs,
+// filterSpeedup measures the compiled-over-interpreter ratio as the
+// median of filterSpeedupPairs interleaved interpreter/compiled pairs,
 // so one noisy sample on either side cannot decide the gate. It returns
 // the median and the per-pair ratios in measurement order.
 func filterSpeedup(c *filterCorpus) (median float64, ratios []float64) {
@@ -259,8 +259,8 @@ func filterSpeedup(c *filterCorpus) (median float64, ratios []float64) {
 // checkFilterPath enforces the backend-equivalence and speedup gates on
 // the fresh filter_path measurements themselves: all three digests must
 // be identical (any divergence is a correctness bug, not noise), and
-// flattened must hold the committed speedup floor over the interpreter
-// in the median of interleaved pairs.
+// compiled filters must hold the committed speedup floor over the
+// interpreter in the median of interleaved pairs.
 func checkFilterPath(records []Record) int {
 	byName := make(map[string]Entry, len(records))
 	for _, r := range records {
@@ -293,7 +293,7 @@ func checkFilterPath(records []Record) int {
 				speedup, strings.Join(pairs, " "), filterSpeedupFloor)
 			status = 1
 		} else {
-			fmt.Printf("ok   filter speedup gate: flattened %.2fx over interpreter (median of pairs %s)\n",
+			fmt.Printf("ok   filter speedup gate: compiled %.2fx over interpreter (median of pairs %s)\n",
 				speedup, strings.Join(pairs, " "))
 		}
 	}

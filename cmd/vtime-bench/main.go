@@ -66,11 +66,12 @@ type Entry struct {
 	// so -check compares it exactly — both against the committed value
 	// and across domain counts.
 	Digest string `json:"digest,omitempty"`
-	// GoMaxProcs records the parallelism available when the entry was
-	// measured (pdes_scaling entries only): wall-clock scaling numbers
-	// are only meaningful relative to it, and the -check speedup gate is
-	// waived below 4 usable CPUs.
+	// GoMaxProcs and NumCPU record the machine every entry was measured
+	// on: wall-clock numbers, scaling above all, are only meaningful
+	// relative to it, and the -check pdes speedup gate is waived below 4
+	// CPUs.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
+	NumCPU     int `json:"num_cpu,omitempty"`
 	// Tolerance, when > 0, overrides the global -tolerance factor for
 	// this entry in -check mode. Families whose wall-clock noise differs
 	// structurally (tight microbench loops vs goroutine fan-out) commit
@@ -198,7 +199,7 @@ func fleetRun(domains int, chaos bool) fleet.Config {
 }
 
 // measurePDES benchmarks one fleet configuration and stamps the entry
-// with the run's digest and the measuring machine's GOMAXPROCS. The
+// with the run's digest. The
 // fleet scenario name is constant per family — never derived from the
 // entry name — because it is embedded in every report the digest
 // covers; encoding the domain count there would make the cross-entry
@@ -224,7 +225,6 @@ func measurePDES(name string, domains int, chaos bool) Record {
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		Digest:      digest,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		// Goroutine fan-out makes these entries the noisiest family in
 		// the file; their exact regression signal is the digest.
 		Tolerance: pdesTolerance,
@@ -496,7 +496,10 @@ func main() {
 	}
 	records := make([]Record, 0, len(selected))
 	for _, e := range selected {
-		records = append(records, e.run())
+		r := e.run()
+		r.Current.GoMaxProcs = runtime.GOMAXPROCS(0)
+		r.Current.NumCPU = runtime.NumCPU()
+		records = append(records, r)
 	}
 	if prof != nil {
 		pprof.StopCPUProfile()

@@ -1,9 +1,10 @@
 // IDS: a snort-like intrusion detection monitor — the heavy-load
 // application class the paper's x=300 pkt_handler emulates — rebuilt on
 // the line-rate consumer path. The engine batch-filters whole chunks
-// down to IP traffic before anything reaches the callback (the flattened
-// per-chunk BPF backend), each surviving packet runs a rule set of
-// flattened filters, and a streaming analytics stage tracks
+// down to IP traffic before anything reaches the callback (the compiled
+// filter's per-chunk entry point), each surviving packet runs a rule set
+// of compiled filters (fused predicates, or the BPF interpreter for the
+// negated and arithmetic rules), and a streaming analytics stage tracks
 // superspreaders so port scans surface even when no single rule fires.
 // The per-packet inspection cost is declared so the capture engine sees
 // a realistic ~39 kp/s consumer, and WireCAP's advanced mode keeps the

@@ -26,8 +26,8 @@ type AnalyticsRun struct {
 	// Seconds is the trace duration (default 0.4).
 	Seconds float64
 	Seed    uint64
-	// Filter, when non-empty, installs a chunk batch filter compiled to
-	// the flattened backend (WireCAP kinds only; other engines have no
+	// Filter, when non-empty, installs a compiled chunk batch filter
+	// (WireCAP kinds only; other engines have no
 	// chunk pipeline and reject it).
 	Filter string
 	// Analytics sizes the stage; the zero value takes the stage defaults.

@@ -63,13 +63,9 @@ func TestArithPrimitives(t *testing.T) {
 			if got := Eval(e, c.pkt); got != c.want {
 				t.Fatalf("Eval = %v, want %v", got, c.want)
 			}
-			// And the flattened program agrees.
-			flat, err := Flatten(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := flat.Match(c.pkt); got != c.want {
-				t.Fatalf("flattened = %v, want %v", got, c.want)
+			// And the compiled filter agrees.
+			if got := MustCompileFlat(c.filter, 65535).Match(c.pkt); got != c.want {
+				t.Fatalf("compiled filter = %v, want %v", got, c.want)
 			}
 		})
 	}
@@ -154,7 +150,7 @@ func randomArith(r *vtime.Rand, depth int) Arith {
 }
 
 // TestArithDifferential cross-checks compiled arithmetic filters against
-// the reference evaluator and the flattened program on random expressions
+// the reference evaluator and the compiled filter on random expressions
 // and packets.
 func TestArithDifferential(t *testing.T) {
 	r := vtime.NewRand(777)
@@ -175,7 +171,7 @@ func TestArithDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := Flatten(prog)
+		compiled, err := FlattenExpr(e, 65535)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +181,8 @@ func TestArithDifferential(t *testing.T) {
 			if got := vm.Match(frame); got != want {
 				t.Fatalf("VM %v != Eval %v on %q\n%s", got, want, e, Disassemble(prog))
 			}
-			if got := flat.Match(frame); got != want {
-				t.Fatalf("flattened %v != Eval %v on %q", got, want, e)
+			if got := compiled.Match(frame); got != want {
+				t.Fatalf("compiled filter %v != Eval %v on %q", got, want, e)
 			}
 		}
 	}

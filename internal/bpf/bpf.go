@@ -2,6 +2,10 @@
 // (McCanne & Jacobson, USENIX 1993): the instruction set, an interpreter,
 // a validator, an assembler/disassembler, and a compiler from a
 // tcpdump-like filter-expression language ("udp and net 131.225.2").
+// A compiled expression (FlatProgram) runs on one of two tiers: a fused
+// straight-line Go predicate when its shape allows, the interpreter
+// otherwise. Eval is the independent oracle both tiers are tested
+// against.
 //
 // The paper's experiment application pkt_handler applies a BPF filter to
 // every captured packet x times; this package is that filter, implemented
@@ -217,12 +221,11 @@ func Validate(p Program) error {
 	return nil
 }
 
-// VM executes validated programs. It is stateless between Run calls except
-// for its scratch array, which Run fully controls, so a single VM may be
-// reused across packets but not across goroutines.
+// VM executes validated programs. It holds only its program: every Run
+// starts from zeroed registers and scratch memory, so one VM may be
+// reused across packets and shared across goroutines.
 type VM struct {
 	prog Program
-	mem  [ScratchSlots]uint32
 }
 
 // NewVM validates the program and returns a VM for it.
@@ -237,9 +240,11 @@ func NewVM(p Program) (*VM, error) {
 
 // Run executes the filter over pkt and returns the filter's return value:
 // the snapshot length to accept (0 means reject). Out-of-bounds packet
-// loads return 0, as the kernel interpreter does.
+// loads return 0, as the kernel interpreter does. Scratch memory lives
+// on Run's stack and starts zeroed for every packet.
 func (vm *VM) Run(pkt []byte) uint32 {
 	var a, x uint32
+	var mem [ScratchSlots]uint32
 	p := vm.prog
 	plen := uint32(len(pkt))
 	for pc := 0; pc < len(p); pc++ {
@@ -284,22 +289,22 @@ func (vm *VM) Run(pkt []byte) uint32 {
 		case OpLdLen:
 			a = plen
 		case OpLdMem:
-			a = vm.mem[k]
+			a = mem[k]
 		case OpLdxImm:
 			x = k
 		case OpLdxLen:
 			x = plen
 		case OpLdxMem:
-			x = vm.mem[k]
+			x = mem[k]
 		case OpLdxMsh:
 			if k >= plen {
 				return 0
 			}
 			x = 4 * (uint32(pkt[k]) & 0xf)
 		case OpSt:
-			vm.mem[k] = a
+			mem[k] = a
 		case OpStx:
-			vm.mem[k] = x
+			mem[k] = x
 		case OpAddK:
 			a += k
 		case OpAddX:

@@ -1,6 +1,6 @@
 package bpf
 
-// FilterChunk is the batch entry point for the flattened backend: one
+// FilterChunk is the batch entry point for compiled filters: one
 // call evaluates every frame of a handed chunk and writes an accept
 // bitmap, so the consumer path pays one bounds-checked virtual call per
 // chunk instead of one interface dispatch per packet.

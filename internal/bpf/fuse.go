@@ -4,7 +4,7 @@ package bpf
 // disjunctions of ip/tcp/udp/host/net/port/len primitives — compile to
 // a straight-line Go matcher instead of bytecode. The expression tree
 // is normalized to disjunctive normal form (bounded, so pathological
-// trees fall back to bytecode) and each term evaluates a flat list of
+// trees fall back to the VM) and each term evaluates a flat list of
 // conditions with the exact semantics of the Eval oracle (eval.go),
 // which the differential tests pin against the compiled programs.
 // NotExpr and arithmetic relations never fuse: their rejection paths
@@ -13,7 +13,7 @@ package bpf
 
 const (
 	// Fusion bounds: a DNF expansion beyond this many terms or
-	// conditions per term falls back to flattened bytecode.
+	// conditions per term falls back to the VM.
 	maxFuseTerms = 16
 	maxFuseConds = 16
 )
@@ -55,7 +55,7 @@ type fusedMatcher struct {
 }
 
 // fuseExpr tries to specialize e; ok is false when the shape (or the
-// size of its DNF expansion) requires the bytecode path. A nil
+// size of its DNF expansion) requires the VM. A nil
 // expression fuses to a single empty term (match everything).
 func fuseExpr(e Expr, snaplen uint32) (*fusedMatcher, bool) {
 	if e == nil {

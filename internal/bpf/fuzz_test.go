@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzFilterCompile guards the lexer, parser, code generator, and
 // validator against panics on arbitrary filter expressions, and checks
-// that whatever compiles also validates, flattens, and runs.
+// that whatever compiles also validates and that the compiled filter
+// agrees with the VM on a sample packet.
 func FuzzFilterCompile(f *testing.F) {
 	for _, seed := range []string{
 		"udp and net 131.225.2",
@@ -34,21 +35,20 @@ func FuzzFilterCompile(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := Flatten(prog)
+		compiled, err := CompileFlat(expr, 65535)
 		if err != nil {
-			t.Fatalf("valid program fails Flatten: %v", err)
+			t.Fatalf("valid expression fails CompileFlat: %v", err)
 		}
-		if vm.Run(pkt) != flat.Run(pkt) {
-			t.Fatalf("VM and flattened diverge on %q", expr)
+		if vm.Run(pkt) != compiled.Run(pkt) {
+			t.Fatalf("VM and compiled filter diverge on %q", expr)
 		}
 	})
 }
 
 // FuzzBackendsAgree is the backend agreement target CI fuzzes
 // (`make fuzz`): whatever expression compiles must produce the same
-// return value from the interpreter, the flattened bytecode, and the
-// fused fast path, on any packet. The VM is rebuilt per run so all
-// backends start from zeroed scratch memory.
+// return value from the interpreter and from the compiled filter (the
+// fused fast path, or its VM fallback), on any packet.
 func FuzzBackendsAgree(f *testing.F) {
 	seedPkt := make([]byte, 60)
 	seedPkt[12] = 0x08
@@ -69,59 +69,16 @@ func FuzzBackendsAgree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiled filter fails validation: %v (%q)", err, expr)
 		}
-		flat, err := Flatten(prog)
-		if err != nil {
-			t.Fatalf("valid program fails Flatten: %v", err)
-		}
 		e, err := Parse(expr)
 		if err != nil {
 			t.Fatalf("compiled filter fails re-parse: %v", err)
 		}
-		fast, err := FlattenExpr(e, 65535)
+		compiled, err := FlattenExpr(e, 65535)
 		if err != nil {
 			t.Fatalf("valid expression fails FlattenExpr: %v", err)
 		}
-		want := vm.Run(pkt)
-		if got := flat.Run(pkt); got != want {
-			t.Fatalf("flattened diverges on %q: %d != %d", expr, got, want)
-		}
-		if got := fast.Run(pkt); got != want {
-			t.Fatalf("fused (%v) diverges on %q: %d != %d", fast.Fused(), expr, got, want)
-		}
-	})
-}
-
-// FuzzFlattenRawPrograms guards the flattener against panics and
-// divergence on arbitrary validated programs: whatever NewVM accepts,
-// Flatten must accept and run identically.
-func FuzzFlattenRawPrograms(f *testing.F) {
-	prog := MustCompile("udp and net 131.225.2 and ip[8] > 2", 65535)
-	raw := make([]byte, 0, len(prog)*8)
-	for _, ins := range prog {
-		raw = append(raw, byte(ins.Op>>8), byte(ins.Op), ins.Jt, ins.Jf,
-			byte(ins.K>>24), byte(ins.K>>16), byte(ins.K>>8), byte(ins.K))
-	}
-	f.Add(raw, []byte{0x00, 0x01, 0x02})
-	f.Fuzz(func(t *testing.T, progBytes, pkt []byte) {
-		var p Program
-		for i := 0; i+8 <= len(progBytes); i += 8 {
-			p = append(p, Instruction{
-				Op: uint16(progBytes[i])<<8 | uint16(progBytes[i+1]),
-				Jt: progBytes[i+2], Jf: progBytes[i+3],
-				K: uint32(progBytes[i+4])<<24 | uint32(progBytes[i+5])<<16 |
-					uint32(progBytes[i+6])<<8 | uint32(progBytes[i+7]),
-			})
-		}
-		vm, err := NewVM(p)
-		if err != nil {
-			return // invalid programs are rejected, never run
-		}
-		flat, err := Flatten(p)
-		if err != nil {
-			t.Fatalf("NewVM accepted but Flatten rejected: %v", err)
-		}
-		if got, want := flat.Run(pkt), vm.Run(pkt); got != want {
-			t.Fatalf("flattened diverges: %d != %d", got, want)
+		if got, want := compiled.Run(pkt), vm.Run(pkt); got != want {
+			t.Fatalf("compiled filter (fused=%v) diverges on %q: %d != %d", compiled.Fused(), expr, got, want)
 		}
 	})
 }

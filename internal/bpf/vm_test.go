@@ -57,6 +57,8 @@ func TestVMOutOfBoundsLoadRejects(t *testing.T) {
 		{{Op: OpLdxImm, K: 0xffffffff}, {Op: OpLdIndB, K: 1}, {Op: OpRetK, K: 1}},
 		// Wraparound: X+k overflows uint32.
 		{{Op: OpLdxImm, K: 0xfffffffe}, {Op: OpLdIndW, K: 4}, {Op: OpRetK, K: 1}},
+		// Extent overflow: k+4 wraps uint32, so the load rejects every packet.
+		{{Op: OpLdW, K: 0xfffffffd}, {Op: OpRetK, K: 5}},
 	}
 	for i, p := range progs {
 		if got := mustVM(t, p).Run(pkt); got != 0 {
@@ -125,6 +127,24 @@ func TestVMALUWithX(t *testing.T) {
 	if got := mustVM(t, zero).Run(nil); got != 0 {
 		t.Fatalf("div by zero X returned %d, want 0", got)
 	}
+	// X from a loaded byte (TAX), added to A, and moved back (TXA):
+	// returns pkt[1] unless pkt[1]+pkt[2] > 200, which returns 1.
+	sum := mustVM(t, Program{
+		{Op: OpLdB, K: 1},
+		{Op: OpTax},
+		{Op: OpLdB, K: 2},
+		{Op: OpAddX},
+		{Op: OpJgtK, K: 200, Jt: 0, Jf: 1},
+		{Op: OpRetK, K: 1},
+		{Op: OpTxa},
+		{Op: OpRetA},
+	})
+	if got := sum.Run([]byte{0, 100, 50}); got != 100 {
+		t.Errorf("tax/add x/txa: %d, want 100", got)
+	}
+	if got := sum.Run([]byte{0, 150, 100}); got != 1 {
+		t.Errorf("tax/add x over 200: %d, want 1", got)
+	}
 }
 
 func TestVMScratchMemory(t *testing.T) {
@@ -147,6 +167,19 @@ func TestVMScratchMemory(t *testing.T) {
 	}
 	if got := mustVM(t, p2).Run(nil); got != 77 {
 		t.Fatalf("stx/ldmem = %d", got)
+	}
+	// Scratch memory starts zeroed on every packet: a counter kept in
+	// M[0] must not carry over between runs of one VM.
+	counter := mustVM(t, Program{
+		{Op: OpLdMem, K: 0},
+		{Op: OpAddK, K: 1},
+		{Op: OpSt, K: 0},
+		{Op: OpRetA},
+	})
+	for i := 0; i < 3; i++ {
+		if got := counter.Run(nil); got != 1 {
+			t.Fatalf("run %d: scratch counter = %d, want 1", i, got)
+		}
 	}
 }
 
@@ -188,6 +221,22 @@ func TestVMJa(t *testing.T) {
 	}
 	if got := mustVM(t, p).Run(nil); got != 42 {
 		t.Fatalf("ja: %d", got)
+	}
+	// JA over a reject into an IND load whose X comes from MSH: the
+	// IPv4 header length finds the UDP destination port.
+	port := mustVM(t, Program{
+		{Op: OpLdxMsh, K: 14},
+		{Op: OpJa, K: 1},
+		{Op: OpRetK, K: 0},
+		{Op: OpLdIndH, K: 16},
+		{Op: OpRetA},
+	})
+	udp := buildTestUDP(t)
+	if got := port.Run(udp); got != 53 {
+		t.Fatalf("ja + msh/ind dst port = %d, want 53", got)
+	}
+	if got := port.Run(udp[:14+20+3]); got != 0 {
+		t.Fatalf("ind load past the frame returned %d, want 0", got)
 	}
 }
 

@@ -2,8 +2,26 @@ package lint
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+// moduleRun is the analyzer suite's result over the whole module.
+type moduleRun struct {
+	findings []Finding
+	sum      Summary
+}
+
+// lintModule type-checks and analyzes the whole module once per test
+// binary; TestModuleClean and TestAllowBudget read the same result.
+var lintModule = sync.OnceValues(func() (moduleRun, error) {
+	m, err := LoadModule("../..")
+	if err != nil {
+		return moduleRun{}, err
+	}
+	findings, sum, err := Run(m, Analyzers())
+	return moduleRun{findings: findings, sum: sum}, err
+})
 
 // TestModuleClean runs the full analyzer suite over the whole module and
 // requires zero live findings: every violation is either fixed or carries
@@ -13,14 +31,11 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	m, err := LoadModule("../..")
+	run, err := lintModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, sum, err := Run(m, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings, sum := run.findings, run.sum
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
@@ -83,14 +98,11 @@ func TestAllowBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	m, err := LoadModule("../..")
+	run, err := lintModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sum, err := Run(m, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := run.sum
 	got := make(map[string]int)
 	for _, f := range sum.AllowedList {
 		dir := f.File

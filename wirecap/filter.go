@@ -4,10 +4,10 @@ import "repro/internal/bpf"
 
 // Filter is a compiled BPF program usable standalone, the
 // pcap_offline_filter analogue: IDS-style applications compile a rule set
-// once and match captured packets against it in their callbacks. Since v7
-// it runs on the flattened backend (branch-threaded bytecode with
-// per-block bounds checks, common matchers fused to native predicates)
-// and exposes a per-chunk batch entry point.
+// once and match captured packets against it in their callbacks. Common
+// matchers run fused to native Go predicates and every other shape runs
+// on the BPF interpreter; either way the filter also exposes a per-chunk
+// batch entry point.
 type Filter struct {
 	flt  *bpf.FlatProgram
 	expr string
@@ -45,7 +45,7 @@ func (f *Filter) MatchBatch(frames [][]byte, accept []uint64) int {
 	return f.flt.FilterChunk(frames, accept)
 }
 
-// Flat exposes the compiled flattened program for direct engine wiring.
+// Flat exposes the compiled program for direct engine wiring.
 func (f *Filter) Flat() *bpf.FlatProgram { return f.flt }
 
 // String returns the source expression.

@@ -157,8 +157,8 @@ type Options struct {
 	// chunks. Default 2 ms.
 	FlushTimeout time.Duration
 	// BatchFilter, when non-empty, installs a BPF expression that the
-	// engine applies per chunk on the consumer fast path (the flattened
-	// batch backend), before any packet reaches a handle. Rejected
+	// engine applies per chunk on the consumer fast path (the compiled
+	// filter's batch entry point), before any packet reaches a handle. Rejected
 	// packets never surface in callbacks and are counted in
 	// Stats.BatchFiltered — they are not capture drops. Per-handle
 	// SetFilter still applies on top, per packet.
