@@ -5,7 +5,7 @@
 // that moves at all is a regression (or an intentional change, in which
 // case refresh the baseline with -update and commit the diff).
 //
-// Three check families, in decreasing strictness:
+// Four check families, in decreasing strictness:
 //
 //   - Scenario digests and key metrics: exact. Covers every counter,
 //     per-queue fate, latency histogram bucket, and metric series the
@@ -19,17 +19,15 @@
 //     (the recorder is a pure observer) and two traced runs must export
 //     byte-identical Chrome traces. The fleet scenarios extend this:
 //     every fleet_chaos_* run re-runs traced at 1 and -domains time
-//     domains, each must reproduce the committed untraced digest, the
-//     journey dump / Chrome export / health series must be
-//     byte-identical across the two domain counts, and the forensics
-//     ledger must re-derive the conservation books exactly —
-//     independently of the identical check fleet.Run performs inside.
-//   - Parallel equivalence: every scenario — the fleet_chaos_* runs
-//     included — re-runs through the parallel discrete-event executive
-//     with -domains time domains, and every digest must equal its
-//     committed sequential baseline byte for byte. Parallelism is an
-//     execution detail — baselines.json is shared with the sequential
-//     runs, never forked.
+//     domains and untraced at -domains, each must reproduce the
+//     committed untraced digest, the journey dump / Chrome export /
+//     health series must be byte-identical across the two domain
+//     counts, and the forensics ledger must re-derive the conservation
+//     books exactly — independently of the identical check fleet.Run
+//     performs inside. Parallelism is an execution detail, so
+//     baselines.json is shared across domain counts, never forked. A
+//     single-host scenario is one structural unit with nothing to
+//     split, so it has no parallel form.
 //   - Performance floor: simulated packets per wall-clock second must
 //     stay above a deliberately conservative floor (the baseline records
 //     measured/8), so only order-of-magnitude slowdowns trip it. Skip on
@@ -92,7 +90,7 @@ func main() {
 	baselinesPath := flag.String("baselines", "baselines.json", "committed baseline file")
 	update := flag.Bool("update", false, "regenerate the baseline file from the current build")
 	skipPerf := flag.Bool("skip-perf", false, "skip the wall-clock throughput floor")
-	domains := flag.Int("domains", 4, "time domains for the parallel-equivalence family (0 skips it)")
+	domains := flag.Int("domains", 4, "time domains for the fleet parallel and traced checks (0 skips them)")
 	summary := flag.String("summary", "", "write a plain-text check summary to FILE (for CI artifacts)")
 	verbose := flag.Bool("v", false, "print every check, not just failures")
 	flag.Parse()
@@ -105,13 +103,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var par ParallelResult
 	var ftr FleetTracedResult
 	if *domains > 0 && !*update {
-		par, err = measureParallel(*domains)
-		if err != nil {
-			fatal(err)
-		}
 		ftr, err = measureFleetTraced(*domains)
 		if err != nil {
 			fatal(err)
@@ -148,7 +141,7 @@ func main() {
 		fatal(fmt.Errorf("parsing %s: %w", *baselinesPath, err))
 	}
 
-	failures, checks := compare(base, reports, traced, par, ftr, allocs, perf, *skipPerf)
+	failures, checks := compare(base, reports, traced, ftr, allocs, perf, *skipPerf)
 	if *summary != "" {
 		//wirelint:allow determinism perf floor is wall-clock by design; it gates throughput, never golden digests
 		if err := writeSummary(*summary, *domains, checks, failures); err != nil {
@@ -266,6 +259,9 @@ type FleetTracedScenario struct {
 	// LedgerErr is the forensics-ledger re-derivation's verdict: nil
 	// when the ledger partitions the RunReport books exactly.
 	LedgerErr error
+	// ParallelDigest is the digest of the untraced run at n domains; it
+	// must equal the committed baseline digest.
+	ParallelDigest string
 }
 
 // FleetTracedResult maps fleet scenario name to its traced outcome.
@@ -277,7 +273,7 @@ type FleetTracedResult struct {
 // measureFleetTraced re-runs every fleet scenario with the fleet
 // observability plane attached (journeys, health lanes, forensics
 // ledger), at 1 time domain and again at n, and renders every artifact
-// both times.
+// both times; then once more untraced at n domains.
 func measureFleetTraced(n int) (FleetTracedResult, error) {
 	res := FleetTracedResult{Domains: n, Scenarios: make(map[string]FleetTracedScenario)}
 	for _, sc := range bench.CIScenarios() {
@@ -308,10 +304,15 @@ func measureFleetTraced(n int) (FleetTracedResult, error) {
 			}
 			stable = stable && bytes.Equal(b1.Bytes(), bn.Bytes())
 		}
+		par, err := sc.RunDomains(n)
+		if err != nil {
+			return res, fmt.Errorf("scenario %s at %d domains: %w", sc.Name, n, err)
+		}
 		res.Scenarios[sc.Name] = FleetTracedScenario{
-			Digest:    rep1.Digest(),
-			Stable:    stable,
-			LedgerErr: fleetLedgerCheck(rep1, &rec1),
+			Digest:         rep1.Digest(),
+			Stable:         stable,
+			LedgerErr:      fleetLedgerCheck(rep1, &rec1),
+			ParallelDigest: par.Digest(),
 		}
 	}
 	return res, nil
@@ -351,29 +352,6 @@ func fleetLedgerCheck(rep bench.RunReport, rec *obs.Record) error {
 	return nil
 }
 
-// ParallelResult is the parallel-equivalence family's outcome.
-type ParallelResult struct {
-	// Domains is the domain count the family ran at (0: skipped).
-	Domains int
-	// Digests maps scenario name to the digest of its run through the
-	// parallel executive; each must equal the committed baseline digest.
-	Digests map[string]string
-}
-
-// measureParallel re-runs every CI scenario through the parallel
-// executive with n time domains.
-func measureParallel(n int) (ParallelResult, error) {
-	res := ParallelResult{Domains: n, Digests: make(map[string]string)}
-	for _, sc := range bench.CIScenarios() {
-		rep, err := sc.RunDomains(n)
-		if err != nil {
-			return ParallelResult{}, fmt.Errorf("scenario %s at %d domains: %w", sc.Name, n, err)
-		}
-		res.Digests[sc.Name] = rep.Digest()
-	}
-	return res, nil
-}
-
 // buildBaselines snapshots the current build's behavior. Alloc budgets
 // are committed exactly as measured (the hot paths are zero-allocation
 // by design, so any budget > 0 is already meaningful); the perf floor
@@ -402,7 +380,7 @@ func buildBaselines(reports []bench.RunReport, allocs map[string]float64, perf f
 // compare returns human-readable failure lines and the names of all
 // checks performed. Deterministic metrics are compared exactly; alloc
 // budgets as measured <= budget; perf as measured >= floor.
-func compare(base Baselines, reports []bench.RunReport, traced TracedResult, par ParallelResult, ftr FleetTracedResult, allocs map[string]float64, perf float64, skipPerf bool) (failures, checks []string) {
+func compare(base Baselines, reports []bench.RunReport, traced TracedResult, ftr FleetTracedResult, allocs map[string]float64, perf float64, skipPerf bool) (failures, checks []string) {
 	byName := make(map[string]bench.RunReport, len(reports))
 	for _, rep := range reports {
 		byName[rep.Scenario] = rep
@@ -454,7 +432,7 @@ func compare(base Baselines, reports []bench.RunReport, traced TracedResult, par
 	// here from the committed RunReport shape keeps the gate honest even
 	// if those layers change.
 	for _, rep := range reports {
-		if !strings.HasPrefix(rep.Scenario, "fleet_chaos_") {
+		if !isFleet(rep.Scenario) {
 			continue
 		}
 		t := rep.Totals
@@ -510,6 +488,18 @@ func compare(base Baselines, reports []bench.RunReport, traced TracedResult, par
 
 	for _, sb := range base.Scenarios {
 		ft, ok := ftr.Scenarios[sb.Name]
+		if ftr.Domains > 0 && isFleet(sb.Name) {
+			checks = append(checks, fmt.Sprintf("domains=%d digest %s", ftr.Domains, sb.Name))
+			switch {
+			case ft.ParallelDigest == "":
+				failures = append(failures, fmt.Sprintf(
+					"domains=%d %s: scenario not produced by the parallel family", ftr.Domains, sb.Name))
+			case ft.ParallelDigest != sb.Digest:
+				failures = append(failures, fmt.Sprintf(
+					"domains=%d %s: digest %s != baseline %s (the parallel executive changed the run)",
+					ftr.Domains, sb.Name, ft.ParallelDigest, sb.Digest))
+			}
+		}
 		if !ok {
 			continue
 		}
@@ -532,23 +522,6 @@ func compare(base Baselines, reports []bench.RunReport, traced TracedResult, par
 		}
 	}
 
-	if par.Domains > 0 {
-		for _, sb := range base.Scenarios {
-			got, ok := par.Digests[sb.Name]
-			checks = append(checks, fmt.Sprintf("domains=%d digest %s", par.Domains, sb.Name))
-			if !ok {
-				failures = append(failures, fmt.Sprintf(
-					"domains=%d %s: scenario not produced by the parallel family", par.Domains, sb.Name))
-				continue
-			}
-			if got != sb.Digest {
-				failures = append(failures, fmt.Sprintf(
-					"domains=%d %s: digest %s != baseline %s (the parallel executive changed the run)",
-					par.Domains, sb.Name, got, sb.Digest))
-			}
-		}
-	}
-
 	if !skipPerf && base.Perf.MinSimPktsPerSec > 0 {
 		checks = append(checks, "perf floor")
 		if perf < base.Perf.MinSimPktsPerSec {
@@ -558,6 +531,10 @@ func compare(base Baselines, reports []bench.RunReport, traced TracedResult, par
 	}
 	return failures, checks
 }
+
+// isFleet reports whether a scenario is one of the multi-host fleet
+// runs, the only scenarios with a parallel form.
+func isFleet(name string) bool { return strings.HasPrefix(name, "fleet_chaos_") }
 
 // measurePerf times one constant-rate WireCAP run and reports simulated
 // packets per wall-clock second.

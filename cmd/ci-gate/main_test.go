@@ -41,7 +41,7 @@ func cleanBaseline(t *testing.T) Baselines {
 func TestGatePassesClean(t *testing.T) {
 	rep := report(t)
 	allocs := map[string]float64{"metrics_counter_inc": 0}
-	failures, checks := compare(cleanBaseline(t), []bench.RunReport{rep}, TracedResult{}, ParallelResult{}, FleetTracedResult{}, allocs, 100, false)
+	failures, checks := compare(cleanBaseline(t), []bench.RunReport{rep}, TracedResult{}, FleetTracedResult{}, allocs, 100, false)
 	if len(failures) != 0 {
 		t.Fatalf("clean comparison failed: %v", failures)
 	}
@@ -106,7 +106,7 @@ func TestGateDetectsSeededRegressions(t *testing.T) {
 			if perf == 0 {
 				perf = 100
 			}
-			failures, _ := compare(base, []bench.RunReport{rep}, TracedResult{}, ParallelResult{}, FleetTracedResult{}, a, perf, tc.skip)
+			failures, _ := compare(base, []bench.RunReport{rep}, TracedResult{}, FleetTracedResult{}, a, perf, tc.skip)
 			if len(failures) == 0 {
 				t.Fatal("tampered baseline passed the gate")
 			}
@@ -131,7 +131,7 @@ func TestSkipPerfSuppressesFloor(t *testing.T) {
 	base := cleanBaseline(t)
 	base.Perf.MinSimPktsPerSec = 1e18
 	allocs := map[string]float64{"metrics_counter_inc": 0}
-	failures, _ := compare(base, []bench.RunReport{rep}, TracedResult{}, ParallelResult{}, FleetTracedResult{}, allocs, 1, true)
+	failures, _ := compare(base, []bench.RunReport{rep}, TracedResult{}, FleetTracedResult{}, allocs, 1, true)
 	if len(failures) != 0 {
 		t.Fatalf("skip-perf still failed: %v", failures)
 	}
@@ -143,7 +143,7 @@ func TestSkipPerfSuppressesFloor(t *testing.T) {
 func TestTracedStabilityChecks(t *testing.T) {
 	base := Baselines{Scenarios: []ScenarioBaseline{{Name: tracedScenario, Digest: "abc"}}}
 	tracedFailures := func(tr TracedResult) []string {
-		failures, _ := compare(base, nil, tr, ParallelResult{}, FleetTracedResult{}, nil, 0, true)
+		failures, _ := compare(base, nil, tr, FleetTracedResult{}, nil, 0, true)
 		var out []string
 		for _, f := range failures {
 			if strings.Contains(f, "traced") {
@@ -164,70 +164,73 @@ func TestTracedStabilityChecks(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalenceChecks: when the parallel family ran, the gate
-// must flag a scenario whose parallel digest drifts from the committed
-// baseline and a scenario the family failed to produce — and pass a
-// matching family silently.
-func TestParallelEquivalenceChecks(t *testing.T) {
-	base := Baselines{Scenarios: []ScenarioBaseline{{Name: "constant_rate", Digest: "abc"}}}
-	parFailures := func(par ParallelResult) []string {
-		failures, _ := compare(base, nil, TracedResult{}, par, FleetTracedResult{}, nil, 0, true)
-		var out []string
-		for _, f := range failures {
-			if strings.Contains(f, "domains=") {
-				out = append(out, f)
-			}
+// fleetFailures runs compare on the fleet family alone and keeps the
+// failures whose text contains substr.
+func fleetFailures(b Baselines, ftr FleetTracedResult, substr string) []string {
+	failures, _ := compare(b, nil, TracedResult{}, ftr, nil, 0, true)
+	var out []string
+	for _, f := range failures {
+		if strings.Contains(f, substr) {
+			out = append(out, f)
 		}
-		return out
 	}
-	clean := ParallelResult{
-		Domains: 2,
-		Digests: map[string]string{"constant_rate": "abc"},
+	return out
+}
+
+// TestParallelEquivalenceChecks: the fleet family also records each
+// fleet scenario's untraced parallel digest, and the gate must flag one
+// that drifts from the committed baseline or was not produced — and pass
+// a matching digest, and a single-host baseline with no parallel form,
+// silently.
+func TestParallelEquivalenceChecks(t *testing.T) {
+	base := Baselines{Scenarios: []ScenarioBaseline{{Name: "fleet_chaos_host_kill", Digest: "abc"}}}
+	parFailures := func(b Baselines, ftr FleetTracedResult) []string {
+		return fleetFailures(b, ftr, "domains=")
 	}
-	if fs := parFailures(clean); len(fs) != 0 {
-		t.Fatalf("matching parallel family failed: %v", fs)
+	clean := FleetTracedResult{Domains: 4, Scenarios: map[string]FleetTracedScenario{
+		"fleet_chaos_host_kill": {Digest: "abc", Stable: true, ParallelDigest: "abc"},
+	}}
+	if fs := parFailures(base, clean); len(fs) != 0 {
+		t.Fatalf("matching parallel digest failed: %v", fs)
 	}
-	drift := clean
-	drift.Digests = map[string]string{"constant_rate": "xyz"}
-	if fs := parFailures(drift); len(fs) != 1 || !strings.Contains(fs[0], "parallel executive changed the run") {
-		t.Fatalf("digest drift not flagged: %v", fs)
+	drift := FleetTracedResult{Domains: 4, Scenarios: map[string]FleetTracedScenario{
+		"fleet_chaos_host_kill": {Digest: "abc", Stable: true, ParallelDigest: "xyz"},
+	}}
+	if fs := parFailures(base, drift); len(fs) != 1 || !strings.Contains(fs[0], "parallel executive changed the run") {
+		t.Fatalf("parallel digest drift not flagged: %v", fs)
 	}
-	missing := clean
-	missing.Digests = map[string]string{}
-	if fs := parFailures(missing); len(fs) != 1 || !strings.Contains(fs[0], "not produced by the parallel family") {
-		t.Fatalf("missing scenario not flagged: %v", fs)
+	missing := FleetTracedResult{Domains: 4, Scenarios: map[string]FleetTracedScenario{}}
+	if fs := parFailures(base, missing); len(fs) != 1 || !strings.Contains(fs[0], "not produced by the parallel family") {
+		t.Fatalf("missing parallel digest not flagged: %v", fs)
 	}
-	if fs := parFailures(ParallelResult{}); len(fs) != 0 {
-		t.Fatalf("skipped family still produced failures: %v", fs)
+	single := Baselines{Scenarios: []ScenarioBaseline{{Name: "constant_wirecapb_x300", Digest: "abc"}}}
+	if fs := parFailures(single, missing); len(fs) != 0 {
+		t.Fatalf("single-host baseline with no parallel digest failed: %v", fs)
+	}
+	if fs := parFailures(base, FleetTracedResult{}); len(fs) != 0 {
+		t.Fatalf("skipped fleet family still produced failures: %v", fs)
 	}
 }
 
-// TestFleetTracedChecks: when the fleet-traced family ran, the gate
-// must flag a traced digest that drifts from the committed baseline,
-// exports that differ across domain counts, and a forensics ledger
-// that fails to partition the books — and pass a clean probe silently.
+// TestFleetTracedChecks: when the fleet family ran, the gate must flag
+// a traced digest that drifts from the committed baseline, exports that
+// differ across domain counts, and a forensics ledger that fails to
+// partition the books — and pass a clean probe silently.
 func TestFleetTracedChecks(t *testing.T) {
 	base := Baselines{Scenarios: []ScenarioBaseline{{Name: "fleet_chaos_host_kill", Digest: "abc"}}}
-	fleetFailures := func(ftr FleetTracedResult) []string {
-		failures, _ := compare(base, nil, TracedResult{}, ParallelResult{}, ftr, nil, 0, true)
-		var out []string
-		for _, f := range failures {
-			if strings.Contains(f, "fleet traced") {
-				out = append(out, f)
-			}
-		}
-		return out
+	tracedFailures := func(ftr FleetTracedResult) []string {
+		return fleetFailures(base, ftr, "fleet traced")
 	}
 	clean := FleetTracedResult{Domains: 4, Scenarios: map[string]FleetTracedScenario{
-		"fleet_chaos_host_kill": {Digest: "abc", Stable: true},
+		"fleet_chaos_host_kill": {Digest: "abc", Stable: true, ParallelDigest: "abc"},
 	}}
-	if fs := fleetFailures(clean); len(fs) != 0 {
+	if fs := tracedFailures(clean); len(fs) != 0 {
 		t.Fatalf("clean fleet probe failed: %v", fs)
 	}
 	broken := FleetTracedResult{Domains: 4, Scenarios: map[string]FleetTracedScenario{
-		"fleet_chaos_host_kill": {Digest: "xyz", Stable: false, LedgerErr: fmt.Errorf("host 0 off by 1")},
+		"fleet_chaos_host_kill": {Digest: "xyz", Stable: false, LedgerErr: fmt.Errorf("host 0 off by 1"), ParallelDigest: "abc"},
 	}}
-	fs := fleetFailures(broken)
+	fs := tracedFailures(broken)
 	if len(fs) != 3 {
 		t.Fatalf("broken fleet probe produced %d failures, want 3: %v", len(fs), fs)
 	}
@@ -236,7 +239,7 @@ func TestFleetTracedChecks(t *testing.T) {
 		!strings.Contains(fs[2], "not a partition") {
 		t.Fatalf("unexpected fleet traced failure wording: %v", fs)
 	}
-	if fs := fleetFailures(FleetTracedResult{}); len(fs) != 0 {
+	if fs := tracedFailures(FleetTracedResult{}); len(fs) != 0 {
 		t.Fatalf("skipped fleet family still produced failures: %v", fs)
 	}
 }

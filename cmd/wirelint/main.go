@@ -39,6 +39,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// loadModule is the loader run type-checks the module with. lint.Run
+// only reads the Module, so tests swap in a memoized loader to let
+// several runs over one tree share a single type-check.
+var loadModule = lint.LoadModule
+
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wirelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -67,7 +72,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mod, err := lint.LoadModule(dir)
+	mod, err := loadModule(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "wirelint: %v\n", err)
 		return 2

@@ -99,7 +99,7 @@ func TestAblationsRunner(t *testing.T) {
 	if err := Ablations(opt, &buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Ablation A1", "Ablation A2", "Ablation A3", "Extension E1"} {
+	for _, want := range []string{"Ablation A1", "Ablation A2", "Ablation A3", "Ablation A4", "Extension E1", "Extension E2"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("missing %s", want)
 		}

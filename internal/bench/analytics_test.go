@@ -6,11 +6,8 @@ import (
 	"repro/internal/obs"
 )
 
-// TestAnalyticsScenarioDeterminism: each analytics scenario renders a
-// byte-identical report when re-run, when traced, and under the
-// parallel executive with 1, 2, and 4 time domains — the equivalence
-// property cmd/ci-gate's -domains check enforces, extended to the
-// sketch contents themselves.
+// TestAnalyticsScenarioDeterminism: each analytics scenario renders the
+// same digest — sketch contents included — when re-run and when traced.
 func TestAnalyticsScenarioDeterminism(t *testing.T) {
 	for _, sc := range AnalyticsScenarios() {
 		sc := sc
@@ -39,15 +36,6 @@ func TestAnalyticsScenarioDeterminism(t *testing.T) {
 			}
 			if traced.Digest() != digest {
 				t.Fatalf("traced digest %s != untraced %s", traced.Digest(), digest)
-			}
-			for _, d := range []int{1, 2, 4} {
-				rep, err := sc.RunDomains(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Digest() != digest {
-					t.Fatalf("domains=%d digest %s != %s", d, rep.Digest(), digest)
-				}
 			}
 		})
 	}
@@ -101,8 +89,8 @@ func TestAnalyticsScenariosRegistered(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing from CIScenarios", name)
 		}
-		if sc.RunTraced == nil || sc.RunDomains == nil {
-			t.Fatalf("%s lacks traced/domains variants", name)
+		if sc.RunTraced == nil {
+			t.Fatalf("%s lacks its traced variant", name)
 		}
 	}
 	var _ func(*obs.Recorder) (RunReport, error) // keep obs import honest

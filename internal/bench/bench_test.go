@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,36 @@ func TestForwardingSupportMatchesPaper(t *testing.T) {
 	for _, s := range []EngineSpec{DNA, PFRing, WireCAPB(256, 100), WireCAPA(256, 100, 60)} {
 		if !s.SupportsForwarding() {
 			t.Errorf("%s should support forwarding", s.Name())
+		}
+	}
+}
+
+// TestForEachRunsAll: an experiment table fans its cells out over the
+// process-wide worker budget, and every cell must be filled with the
+// result of its own (engine, P) run — the same string a serial run of
+// that cell gives — whichever worker ran it.
+func TestForEachRunsAll(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	specs := []EngineSpec{DNA, WireCAPB(256, 100)}
+	opt := Options{PMax: 10_000, Seed: fast.Seed}
+	tab, err := burstTable("t", "fan-out", specs, 300, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := pSweep(opt.PMax)
+	if len(tab.Rows) != len(specs) || len(ps) < 2 {
+		t.Fatalf("got %d rows for %d specs, %d burst lengths", len(tab.Rows), len(specs), len(ps))
+	}
+	for si, spec := range specs {
+		for pi, p := range ps {
+			res, err := RunConstant(ConstantRun{Spec: spec, Packets: p, X: 300, Seed: opt.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := tab.Rows[si][1+pi], pct(res.DropRate()); got != want {
+				t.Errorf("%s P=%d: fan-out cell %q, serial run %q", spec.Name(), p, got, want)
+			}
 		}
 	}
 }

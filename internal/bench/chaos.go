@@ -40,10 +40,6 @@ type ChaosRun struct {
 	// Trace attaches a flight recorder to the NIC and the injector so
 	// fault windows annotate overlapping packet spans.
 	Trace *obs.Recorder
-	// Domains / Workers: as in ConstantRun — the run is one structural
-	// unit in domain 0, so its report is byte-identical for every value.
-	Domains int
-	Workers int
 }
 
 // RunChaos executes the run to completion. The engine under test gets
@@ -53,7 +49,7 @@ func RunChaos(cfg ChaosRun) (Result, error) {
 	if cfg.Queues == 0 {
 		cfg.Queues = 1
 	}
-	sim, sched := simFor(cfg.Domains, cfg.Workers)
+	sched := vtime.NewScheduler()
 	reg := metrics.NewRegistry()
 	inj := faults.NewInjector(sched, cfg.FaultSeed)
 	inj.Register(reg)
@@ -87,7 +83,7 @@ func RunChaos(cfg ChaosRun) (Result, error) {
 		Seed:        cfg.Seed,
 	})
 	st := trace.Drive(sched, n, src, nil)
-	runSim(sim, sched)
+	sched.Run()
 	return Result{
 		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(), Handler: h,
 		Metrics: reg, End: sched.Now(),
@@ -101,10 +97,9 @@ func RunChaos(cfg ChaosRun) (Result, error) {
 // regression-tested, not aspirational.
 func ChaosScenarios() []Scenario {
 	chaos := func(name, about string, cfg ChaosRun) Scenario {
-		run := func(rec *obs.Recorder, domains int) (RunReport, error) {
+		run := func(rec *obs.Recorder) (RunReport, error) {
 			c := cfg
 			c.Trace = rec
-			c.Domains = domains
 			res, err := RunChaos(c)
 			if err != nil {
 				return RunReport{}, err
@@ -112,9 +107,8 @@ func ChaosScenarios() []Scenario {
 			return res.Report(name), nil
 		}
 		return Scenario{Name: name, About: about,
-			Run:        func() (RunReport, error) { return run(nil, 0) },
-			RunTraced:  func(rec *obs.Recorder) (RunReport, error) { return run(rec, 0) },
-			RunDomains: func(d int) (RunReport, error) { return run(nil, d) },
+			Run:       func() (RunReport, error) { return run(nil) },
+			RunTraced: run,
 		}
 	}
 	// X=300 caps one handler thread near 38.8 kp/s, so the offered rates

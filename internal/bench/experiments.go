@@ -10,6 +10,7 @@ import (
 	"repro/internal/nic"
 	"repro/internal/trace"
 	"repro/internal/vtime"
+	"repro/internal/vtime/domain"
 )
 
 // Options scales the experiments. Scale 1.0 and PMax 1e7 replicate the
@@ -174,7 +175,9 @@ func Table1(opt Options) (Table, error) {
 			"q0 capture", "q0 delivery", "q3 capture", "q3 delivery"},
 	}
 	t.Rows = make([][]string, len(specs))
-	err := forEach(len(specs), func(i int) error {
+	// Every cell owns its scheduler, NIC and engine, so the cells of a
+	// table run concurrently on the process-wide worker budget.
+	err := domain.ForEach(len(specs), 0, func(i int) error {
 		spec := specs[i]
 		res, offered, err := RunBorder(BorderRun{Spec: spec, Queues: 6, X: 300, Scale: opt.Scale, Seed: opt.Seed})
 		if err != nil {
@@ -223,7 +226,7 @@ func burstTable(id, title string, specs []EngineSpec, x int, opt Options) (Table
 	}
 	// Every (engine, P) cell is an independent simulation: run them on
 	// all cores.
-	err := forEach(len(specs)*len(ps), func(i int) error {
+	err := domain.ForEach(len(specs)*len(ps), 0, func(i int) error {
 		si, pi := i/len(ps), i%len(ps)
 		res, err := RunConstant(ConstantRun{Spec: specs[si], Packets: ps[pi], X: x, Seed: opt.Seed})
 		if err != nil {
@@ -277,7 +280,7 @@ func queueSweepTable(id, title string, specs []EngineSpec, opt Options, forward 
 	for _, spec := range specs {
 		t.Rows = append(t.Rows, []string{spec.Name(), "", "", ""})
 	}
-	err := forEach(len(specs)*len(queues), func(i int) error {
+	err := domain.ForEach(len(specs)*len(queues), 0, func(i int) error {
 		si, qi := i/len(queues), i%len(queues)
 		res, _, err := RunBorder(BorderRun{
 			Spec: specs[si], Queues: queues[qi], X: 300,
@@ -351,7 +354,7 @@ func Fig14(opt Options) (Table, error) {
 		}
 	}
 	nf := len(frames)
-	err := forEach(len(specs)*nf*6, func(i int) error {
+	err := domain.ForEach(len(specs)*nf*6, 0, func(i int) error {
 		si := i / (nf * 6)
 		fi := (i / 6) % nf
 		q := i%6 + 1

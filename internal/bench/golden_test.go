@@ -53,57 +53,18 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenDomainsEquivalence extends the golden guard across the
-// parallel executive: the same workload routed through Sim with any
-// domain count must produce the bit-identical Result — not just the
-// same digest, the same full observable state — as the plain scheduler.
-func TestGoldenDomainsEquivalence(t *testing.T) {
-	constant := func(domains int) string {
-		res, err := RunConstant(ConstantRun{
-			Spec: WireCAPB(256, 100), Packets: 50_000, X: 300, Seed: 7,
-			Domains: domains,
-		})
-		if err != nil {
-			t.Fatalf("RunConstant(domains=%d): %v", domains, err)
-		}
-		return digest(res)
-	}
-	ref := constant(0)
-	for _, d := range []int{1, 2, 4} {
-		if got := constant(d); got != ref {
-			t.Errorf("constant run diverged at domains=%d:\n  %s\n  %s", d, got, ref)
-		}
-	}
-
-	border := func(domains int) string {
-		res, offered, err := RunBorder(BorderRun{
-			Spec: WireCAPA(256, 100, 60), Queues: 4, X: 300,
-			Seconds: 0.5, Seed: 11, Domains: domains,
-		})
-		if err != nil {
-			t.Fatalf("RunBorder(domains=%d): %v", domains, err)
-		}
-		return digest(res) + fmt.Sprintf(" offered=%v", offered)
-	}
-	bref := border(0)
-	for _, d := range []int{3} {
-		if got := border(d); got != bref {
-			t.Errorf("border run diverged at domains=%d:\n  %s\n  %s", d, got, bref)
-		}
-	}
-}
-
-// TestScenarioDomainsEquivalence replays every CI scenario — the five
-// steady-state ones and the three chaos storms — through the parallel
-// executive and requires the digest to match the plain sequential run
-// exactly. A single-host scenario occupies one domain, so this pins
-// that routing a run through Sim is observationally invisible, the
-// contract cmd/ci-gate's -domains check enforces in CI.
+// TestScenarioDomainsEquivalence replays every CI scenario that has a
+// parallel form — the four fleet_chaos_* runs — through the parallel
+// executive and requires the report to match the default run byte for
+// byte, the contract cmd/ci-gate's -domains check enforces in CI.
 func TestScenarioDomainsEquivalence(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
 	for i, sc := range CIScenarios() {
+		if sc.RunDomains == nil {
+			continue
+		}
 		sc := sc
 		domains := []int{2, 3, 5}[i%3]
 		t.Run(sc.Name, func(t *testing.T) {
@@ -124,10 +85,10 @@ func TestScenarioDomainsEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(refJSON, gotJSON) {
-				t.Errorf("domains=%d report diverged from sequential run", domains)
+				t.Errorf("domains=%d report diverged from the default run", domains)
 			}
 			if ref.Digest() != got.Digest() {
-				t.Errorf("domains=%d digest %s != sequential %s", domains, got.Digest(), ref.Digest())
+				t.Errorf("domains=%d digest %s != default %s", domains, got.Digest(), ref.Digest())
 			}
 		})
 	}

@@ -22,12 +22,14 @@ type Scenario struct {
 	// attached. The recorder is a pure observer, so the report (and its
 	// digest) must equal Run's — cmd/ci-gate asserts exactly that.
 	RunTraced func(*obs.Recorder) (RunReport, error)
-	// RunDomains executes the identical run under the parallel
-	// discrete-event executive with the given number of time domains.
-	// Parallel execution is an implementation detail, so the report
-	// (and its digest) must equal Run's byte for byte for every domain
-	// count — the equivalence property cmd/ci-gate's -domains check and
-	// the golden tests assert.
+	// RunDomains, set only on fleet scenarios, executes the identical
+	// run under the parallel discrete-event executive with the given
+	// number of time domains. Parallel execution is an implementation
+	// detail, so the report (and its digest) must equal Run's byte for
+	// byte for every domain count — the equivalence property
+	// cmd/ci-gate's -domains check and the bench tests assert. A
+	// single-host run is one structural unit with nothing to split, so
+	// it leaves RunDomains nil.
 	RunDomains func(domains int) (RunReport, error)
 	// TracedRecord, when non-nil, executes the traced run and returns the
 	// merged flight record alongside the report. Fleet scenarios set it —
@@ -74,10 +76,9 @@ func (s Scenario) Report() (RunReport, error) {
 // key entries in baselines.json.
 func CIScenarios() []Scenario {
 	constant := func(name, about string, spec EngineSpec, packets uint64) Scenario {
-		run := func(rec *obs.Recorder, domains int) (RunReport, error) {
+		run := func(rec *obs.Recorder) (RunReport, error) {
 			res, err := RunConstant(ConstantRun{
 				Spec: spec, Packets: packets, X: 300, Seed: 7, Trace: rec,
-				Domains: domains,
 			})
 			if err != nil {
 				return RunReport{}, err
@@ -85,16 +86,14 @@ func CIScenarios() []Scenario {
 			return res.Report(name), nil
 		}
 		return Scenario{Name: name, About: about,
-			Run:        func() (RunReport, error) { return run(nil, 0) },
-			RunTraced:  func(rec *obs.Recorder) (RunReport, error) { return run(rec, 0) },
-			RunDomains: func(d int) (RunReport, error) { return run(nil, d) },
+			Run:       func() (RunReport, error) { return run(nil) },
+			RunTraced: run,
 		}
 	}
 	border := func(name, about string, spec EngineSpec, seconds float64, seed uint64) Scenario {
-		run := func(rec *obs.Recorder, domains int) (RunReport, error) {
+		run := func(rec *obs.Recorder) (RunReport, error) {
 			res, _, err := RunBorder(BorderRun{
 				Spec: spec, Queues: 4, X: 300, Seconds: seconds, Seed: seed, Trace: rec,
-				Domains: domains,
 			})
 			if err != nil {
 				return RunReport{}, err
@@ -102,9 +101,8 @@ func CIScenarios() []Scenario {
 			return res.Report(name), nil
 		}
 		return Scenario{Name: name, About: about,
-			Run:        func() (RunReport, error) { return run(nil, 0) },
-			RunTraced:  func(rec *obs.Recorder) (RunReport, error) { return run(rec, 0) },
-			RunDomains: func(d int) (RunReport, error) { return run(nil, d) },
+			Run:       func() (RunReport, error) { return run(nil) },
+			RunTraced: run,
 		}
 	}
 	scenarios := []Scenario{

@@ -61,6 +61,37 @@ type dpdkMbuf struct {
 	tid   int32      // flight-recorder token; 0 when the packet is untraced
 }
 
+// mbufFIFO is a FIFO of mbufs over a reused backing array. pop advances
+// a head index instead of shifting the tail down, and push compacts the
+// live entries to the front once the array is full and at least half
+// dead, so a backlog as deep as the mempool costs O(1) per packet and
+// the array stays bounded under sustained overload.
+type mbufFIFO struct {
+	bufs []dpdkMbuf
+	head int
+}
+
+func (f *mbufFIFO) len() int { return len(f.bufs) - f.head }
+
+//wirecap:hotpath
+func (f *mbufFIFO) pop() dpdkMbuf {
+	m := f.bufs[f.head]
+	f.head++
+	if f.head == len(f.bufs) {
+		f.bufs, f.head = f.bufs[:0], 0
+	}
+	return m
+}
+
+//wirecap:hotpath
+func (f *mbufFIFO) push(m dpdkMbuf) {
+	if len(f.bufs) == cap(f.bufs) && f.head > 0 && 2*f.head >= len(f.bufs) {
+		n := copy(f.bufs, f.bufs[f.head:])
+		f.bufs, f.head = f.bufs[:n], 0
+	}
+	f.bufs = append(f.bufs, m) //wirelint:allow hotpath FIFO reaches steady-state capacity; bounded by the mempool size
+}
+
 type dpdkQueue struct {
 	e     *DPDK
 	queue int
@@ -75,8 +106,8 @@ type dpdkQueue struct {
 	// rxq holds mbufs pulled off the hardware ring by rx_burst, awaiting
 	// processing or steering; swq is the software ring peers steer
 	// packets into.
-	rxq []dpdkMbuf
-	swq []dpdkMbuf
+	rxq mbufFIFO
+	swq mbufFIFO
 
 	tail     int
 	consumed uint64 // packets polled off the hardware ring so far
@@ -157,7 +188,7 @@ func (q *dpdkQueue) kick() {
 // its software ring, and anything still sitting in the hardware ring.
 func (q *dpdkQueue) backlog() int {
 	ringBacklog := int(q.ring.Stats().Received - q.consumed)
-	return ringBacklog + len(q.rxq) + len(q.swq)
+	return ringBacklog + q.rxq.len() + q.swq.len()
 }
 
 // pullBurst is rx_burst: it moves every used descriptor into the local
@@ -180,7 +211,7 @@ func (q *dpdkQueue) pullBurst() {
 		// The descriptor is re-armed immediately, so a traced packet's
 		// identity rides the mbuf as a token until it is processed.
 		tid := q.trace.DescClaim(q.nicID, q.queue, idx, q.e.sched.Now())
-		q.rxq = append(q.rxq, dpdkMbuf{data: d.Buf, n: d.Len, ts: d.TS, owner: q, tid: tid}) //wirelint:allow hotpath burst queue reaches steady-state capacity; bounded by mempool size
+		q.rxq.push(dpdkMbuf{data: d.Buf, n: d.Len, ts: d.TS, owner: q, tid: tid})
 		q.rearm(idx)
 		pulled++
 	}
@@ -202,7 +233,7 @@ func (q *dpdkQueue) step() {
 	// Application-layer offloading: above the backlog threshold, steer a
 	// packet to the least-loaded peer's software ring, paying the
 	// per-packet steering cost instead of the processing cost.
-	if q.e.appOffload && len(q.rxq) > 0 && q.backlog() > q.threshold {
+	if q.e.appOffload && q.rxq.len() > 0 && q.backlog() > q.threshold {
 		target := q
 		for _, p := range q.e.queues {
 			if p.backlog() < target.backlog() {
@@ -210,13 +241,11 @@ func (q *dpdkQueue) step() {
 			}
 		}
 		if target != q {
-			m := q.rxq[0]
-			copy(q.rxq, q.rxq[1:])
-			q.rxq = q.rxq[:len(q.rxq)-1]
+			m := q.rxq.pop()
 			q.steered++
 			q.trace.StageCost(q.traceName, q.queue, "steer", q.steerCost)
 			q.sv.ChargeAndCall(q.steerCost, func() { //wirelint:allow hotpath app-offload steering path; closure must capture the steered mbuf
-				target.swq = append(target.swq, m) //wirelint:allow hotpath software ring reaches steady-state capacity after warm-up
+				target.swq.push(m)
 				target.kick()
 				q.step()
 			})
@@ -226,15 +255,11 @@ func (q *dpdkQueue) step() {
 	var m dpdkMbuf
 	var sync vtime.Time
 	switch {
-	case len(q.swq) > 0:
-		m = q.swq[0]
-		copy(q.swq, q.swq[1:])
-		q.swq = q.swq[:len(q.swq)-1]
+	case q.swq.len() > 0:
+		m = q.swq.pop()
 		sync = q.syncCost
-	case len(q.rxq) > 0:
-		m = q.rxq[0]
-		copy(q.rxq, q.rxq[1:])
-		q.rxq = q.rxq[:len(q.rxq)-1]
+	case q.rxq.len() > 0:
+		m = q.rxq.pop()
 	default:
 		q.active = false
 		return

@@ -125,3 +125,37 @@ func TestDPDKNames(t *testing.T) {
 		t.Fatalf("name %q", got)
 	}
 }
+
+// TestMbufFIFOBoundedUnderBacklog: a FIFO that never drains — the
+// overloaded rx_burst queue — keeps FIFO order and keeps its backing
+// array within a small multiple of the live backlog, however many
+// packets pass through.
+func TestMbufFIFOBoundedUnderBacklog(t *testing.T) {
+	const backlog, packets = 1000, 100_000
+	var f mbufFIFO
+	next, want := 0, 0
+	for ; next < backlog; next++ {
+		f.push(dpdkMbuf{n: next})
+	}
+	for ; next < packets; next++ {
+		f.push(dpdkMbuf{n: next})
+		if m := f.pop(); m.n != want {
+			t.Fatalf("popped %d, want %d", m.n, want)
+		}
+		want++
+	}
+	if got := f.len(); got != backlog {
+		t.Fatalf("len = %d, want %d", got, backlog)
+	}
+	if c := cap(f.bufs); c > 4*(backlog+1) {
+		t.Fatalf("backing array grew to %d for a backlog of %d", c, backlog)
+	}
+	for ; want < packets; want++ {
+		if m := f.pop(); m.n != want {
+			t.Fatalf("drain popped %d, want %d", m.n, want)
+		}
+	}
+	if f.len() != 0 || f.head != 0 {
+		t.Fatalf("drained FIFO not reset: len %d head %d", f.len(), f.head)
+	}
+}

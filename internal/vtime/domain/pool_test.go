@@ -3,8 +3,10 @@ package domain
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachRunsAllJobs(t *testing.T) {
@@ -112,4 +114,59 @@ func TestForEachPanicPropagates(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestForEachSerialStopsOnError: with one worker the jobs run in index
+// order on the caller, and the first failure stops the fan-out before
+// the next job starts.
+func TestForEachSerialStopsOnError(t *testing.T) {
+	boom := errors.New("boom")
+	var started atomic.Int32
+	err := ForEach(100, 1, func(i int) error {
+		started.Add(1)
+		if i == 2 {
+			return boom
+		}
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if got := started.Load(); got != 3 {
+		t.Fatalf("started %d jobs, want 3", got)
+	}
+}
+
+// TestForEachStopsWorkersAfterError verifies that once one job fails, the
+// other workers stop at their current job boundary instead of draining the
+// remaining work: with 4 workers and 64 jobs, exactly the 4 in-flight jobs
+// run.
+func TestForEachStopsWorkersAfterError(t *testing.T) {
+	const workers = 4
+	// The budget is capped by GOMAXPROCS; widen it so all four really
+	// run concurrently even on a small machine.
+	prev := runtime.GOMAXPROCS(workers)
+	defer runtime.GOMAXPROCS(prev)
+	boom := errors.New("boom")
+	var started atomic.Int32
+	var gate sync.WaitGroup
+	gate.Add(workers) // released when every worker holds a job
+	err := ForEach(64, workers, func(i int) error {
+		started.Add(1)
+		gate.Done()
+		gate.Wait()
+		if i == 0 {
+			return boom // fails while the others sleep below
+		}
+		// Give the failure ample time to set the stop flag before these
+		// workers look for their next job.
+		time.Sleep(100 * time.Millisecond)
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if got := started.Load(); got != workers {
+		t.Fatalf("started %d jobs after error, want %d", got, workers)
+	}
 }
